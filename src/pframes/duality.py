@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotAFrameError, NumericError
-from .measures import DiscreteMeasure, frame_operator, frame_report
+from .measures import DiscreteMeasure, frame_operator, frame_report, merge_duplicate_atoms
 from .optim import LinearProgram, solve_lp
 
 Array = np.ndarray
@@ -186,23 +186,6 @@ def deterministic_plan(measure: DiscreteMeasure, dual: DiscreteMeasure) -> Trans
     return TransportPlan(measure, dual, np.diag(measure.weights))
 
 
-def _merge_exact_duplicates(measure: DiscreteMeasure) -> DiscreteMeasure:
-    """Combine bitwise-equal support points (conditioning aid for the LP)."""
-    _, first, inverse = np.unique(
-        measure.atoms, axis=0, return_index=True, return_inverse=True
-    )
-    if first.shape[0] == measure.count:
-        return measure
-    order = np.argsort(first)  # keep first-occurrence order
-    relabel = np.empty_like(order)
-    relabel[order] = np.arange(order.size)
-    groups = relabel[inverse]
-    atoms = measure.atoms[np.sort(first)]
-    weights = np.zeros(first.shape[0])
-    np.add.at(weights, groups, measure.weights)
-    return DiscreteMeasure(atoms=atoms, weights=weights)
-
-
 def find_transport_dual(
     mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> TransportPlan | FarkasCertificate:
@@ -216,8 +199,8 @@ def find_transport_dual(
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     _require_frame(mu)
-    mu_m = _merge_exact_duplicates(mu)
-    nu_m = _merge_exact_duplicates(nu)
+    mu_m = merge_duplicate_atoms(mu)
+    nu_m = merge_duplicate_atoms(nu)
     phi, alpha = mu_m.atoms, mu_m.weights
     psi, beta = nu_m.atoms, nu_m.weights
     n, m, d = mu_m.count, nu_m.count, mu_m.dim

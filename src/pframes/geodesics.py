@@ -19,7 +19,13 @@ import numpy as np
 from . import linalg
 from .duality import TransportPlan
 from .errors import NotAFrameError, NumericError
-from .measures import DiscreteMeasure, FrameReport, GaussianMeasure, frame_report
+from .measures import (
+    DiscreteMeasure,
+    FrameReport,
+    GaussianMeasure,
+    frame_report,
+    merge_duplicate_atoms,
+)
 from .transport import optimal_permutation, wasserstein2
 
 Array = np.ndarray
@@ -56,18 +62,6 @@ class GaussianPath:
     second_moments: Array
 
 
-def _merge_atoms(atoms: Array, weights: Array) -> DiscreteMeasure:
-    # Exact-duplicate merge, first-occurrence order, so endpoints reproduce
-    # the original measures canonically.
-    _, first, inverse = np.unique(atoms, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    relabel = np.empty_like(order)
-    relabel[order] = np.arange(order.size)
-    merged = np.zeros(first.shape[0])
-    np.add.at(merged, relabel[inverse], weights)
-    return DiscreteMeasure(atoms=atoms[np.sort(first)], weights=merged)
-
-
 def geodesic_measure(
     mu0: DiscreteMeasure, mu1: DiscreteMeasure, plan: TransportPlan, t: float
 ) -> DiscreteMeasure:
@@ -87,8 +81,8 @@ def geodesic_measure(
         raise ValueError("plan does not couple the given measures")
     rows, cols = np.nonzero(plan.coupling > MASS_EPS)
     atoms = (1.0 - t) * mu0.atoms[rows] + t * mu1.atoms[cols]
-    weights = plan.coupling[rows, cols]
-    return _merge_atoms(atoms, weights)
+    # Endpoints merge back to the original measures' atoms, in their order.
+    return merge_duplicate_atoms(DiscreteMeasure(atoms=atoms, weights=plan.coupling[rows, cols]))
 
 
 def geodesic_profile(

@@ -75,6 +75,25 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
 
+def merge_duplicate_atoms(measure: DiscreteMeasure) -> DiscreteMeasure:
+    """Combine bitwise-equal atoms, summing their weights.
+
+    Distinct atoms keep their first-occurrence order; a measure without
+    duplicates is returned as is.
+    """
+    _, first, inverse = np.unique(
+        measure.atoms, axis=0, return_index=True, return_inverse=True
+    )
+    if first.shape[0] == measure.count:
+        return measure
+    order = np.argsort(first)
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(order.size)
+    weights = np.zeros(first.shape[0])
+    np.add.at(weights, relabel[inverse], measure.weights)
+    return DiscreteMeasure(atoms=measure.atoms[np.sort(first)], weights=weights)
+
+
 @dataclass(frozen=True)
 class GaussianMeasure:
     """Gaussian measure: mean (d,) and symmetric PSD covariance (d, d)."""

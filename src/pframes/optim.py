@@ -1,12 +1,17 @@
 """Exact small-scale solvers: equality-form LP and linear assignment.
 
-``solve_lp`` is a dense two-phase primal simplex with Bland's anti-cycling
-rule.  It decides feasibility of ``K a = t, a >= 0`` and, with an objective,
-optimizes over that set.  Infeasible systems come back with a Farkas
-certificate ``y`` satisfying ``y^T K >= 0`` and ``y^T t < 0`` (up to the
-stated tolerances); the certificate is re-validated before it is returned,
-never emitted unchecked.  Determinism and exactness are preferred over speed:
-the intended scale is couplings up to roughly 50 x 50.
+``solve_lp`` decides feasibility of ``K a = t, a >= 0`` and, with an
+objective, optimizes over that set, using the HiGHS dual revised simplex
+(Huangfu and Hall, Math. Prog. Comp. 2018) shipped with scipy.  Feasible
+systems come back with a solution whose nonnegativity and residual are
+re-checked here; a point that HiGHS accepts at its default tolerance but that
+misses a bound or a row by more than round-off is re-solved once at the
+tightest tolerance.  Infeasible systems come back with a Farkas certificate
+``y`` satisfying ``y^T K >= 0`` and ``y^T t < 0`` (up to the stated
+tolerances), read off the equality duals of the elastic LP
+``min 1^T (s+ + s-)  s.t.  K a + s+ - s- = t``; the certificate is
+re-validated before it is returned, never emitted unchecked.  The intended
+scale is couplings up to roughly 50 x 50.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, linprog, milp
 
 from .errors import NumericError
 from .linalg import as_matrix
@@ -22,7 +27,9 @@ from .linalg import as_matrix
 Array = np.ndarray
 
 FEASIBILITY_TOL = 1e-8
-PIVOT_TOL = 1e-10
+# HiGHS counts bound and row violations up to its primal feasibility
+# tolerance (1e-7 by default) as feasible; this is the tightest it accepts.
+HIGHS_TIGHT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,41 +51,28 @@ class LpOutcome:
     dual_certificate: Array | None = None
 
 
-def _pivot(tableau: Array, basis: list[int], row: int, col: int) -> None:
-    tableau[row] = tableau[row] / tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col
+def _farkas_certificate(kmat: Array, rhs: Array) -> Array:
+    """Equality duals of the elastic LP, scaled to unit max-norm.
 
-
-def _iterate(tableau: Array, basis: list[int], n_allowed: int, max_iter: int) -> str:
-    """Run simplex pivots (Bland's rule) until optimal or unbounded.
-
-    The last tableau row holds reduced costs and, in its final entry, the
-    negated objective value.  Only columns below ``n_allowed`` may enter.
+    The elastic dual is ``max t^T z  s.t.  K^T z <= 0, |z| <= 1``; a positive
+    optimum means ``y = -z`` separates ``t`` from the cone ``K a, a >= 0``.
     """
-    m = tableau.shape[0] - 1
-    for _ in range(max_iter):
-        reduced = tableau[m, :n_allowed]
-        entering = -1
-        for j in range(n_allowed):
-            if reduced[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        col = tableau[:m, entering]
-        rows = np.where(col > PIVOT_TOL)[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = tableau[rows, -1] / col[rows]
-        best = ratios.min()
-        # Bland tie-break: smallest basis index among minimal ratios.
-        ties = rows[ratios <= best + PIVOT_TOL * (1.0 + abs(best))]
-        leaving = min(ties, key=lambda i: basis[i])
-        _pivot(tableau, basis, leaving, entering)
-    raise NumericError("simplex iteration cap exceeded")
+    m, n = kmat.shape
+    res = linprog(
+        np.concatenate([np.zeros(n), np.ones(2 * m)]),
+        A_eq=np.hstack([kmat, np.eye(m), -np.eye(m)]),
+        b_eq=rhs,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
+    if res.status != 0:
+        raise NumericError(f"elastic LP failed: {res.message}")
+    cert = -np.asarray(res.eqlin.marginals, dtype=float)
+    peak = float(np.abs(cert).max())
+    if peak <= 0.0:
+        raise NumericError("degenerate Farkas certificate")
+    return cert / peak
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -95,7 +89,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         raise ValueError(f"rhs must have length {m}, got shape {rhs.shape}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains non-finite entries")
-    cost = None
+    cost = np.zeros(n)
     if lp.objective is not None:
         cost = np.asarray(lp.objective, dtype=float)
         if cost.shape != (n,):
@@ -103,78 +97,49 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         if not np.all(np.isfinite(cost)):
             raise ValueError("objective contains non-finite entries")
 
-    max_iter = max(5000, 60 * (m + n))
-    rhs_scale = 1.0 + float(np.abs(rhs).max())
-
-    # Phase 1: flip rows so the right-hand side is nonnegative, add one
-    # artificial per row, minimize their sum.
-    flip = np.where(rhs < 0.0, -1.0, 1.0)
-    a1 = kmat * flip[:, None]
-    b1 = rhs * flip
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a1
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b1
-    tableau[m, :n] = -a1.sum(axis=0)
-    tableau[m, -1] = -b1.sum()
-    basis = list(range(n, n + m))
-
-    if _iterate(tableau, basis, n_allowed=n, max_iter=max_iter) != "optimal":
-        raise NumericError("phase-1 objective unbounded (numerical breakdown)")
-    phase1_value = -tableau[m, -1]
-
-    if phase1_value > FEASIBILITY_TOL * rhs_scale:
-        # Phase-1 simplex multipliers: reduced cost of artificial i is
-        # 1 - y_i, so y = 1 - (reduced costs of artificial columns).
-        y_flipped = 1.0 - tableau[m, n : n + m]
-        cert = -(flip * y_flipped)
-        peak = float(np.abs(cert).max())
-        if peak <= 0.0:
-            raise NumericError("degenerate Farkas certificate")
-        cert = cert / peak
+    res = milp(
+        cost,
+        bounds=Bounds(0.0, np.inf),
+        constraints=LinearConstraint(kmat, rhs, rhs),
+        options={"presolve": False},
+    )
+    if res.status == 2:
+        cert = _farkas_certificate(kmat, rhs)
         if float((cert @ kmat).min()) < -FEASIBILITY_TOL or float(cert @ rhs) > -FEASIBILITY_TOL:
             raise NumericError("Farkas certificate failed re-validation")
         return LpOutcome(status="infeasible", dual_certificate=cert)
+    if res.status == 3:
+        raise NumericError("objective is unbounded below on the feasible set")
+    if res.status != 0:
+        raise NumericError(f"LP solver failed: {res.message}")
 
-    # Drive any artificial still basic (at value ~0) out of the basis; rows
-    # that cannot be pivoted are redundant and get dropped.
-    redundant = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, i, pivot_col)
-            else:
-                redundant.append(i)
-    if redundant:
-        keep = [i for i in range(m) if i not in redundant]
-        tableau = tableau[keep + [m]]
-        basis = [basis[i] for i in keep]
+    solution = np.array(res.x, dtype=float)
+    rhs_scale = 1.0 + float(np.abs(rhs).max())
+    if (
+        solution.min() < -HIGHS_TIGHT_TOL
+        or float(np.abs(kmat @ solution - rhs).max()) > HIGHS_TIGHT_TOL * rhs_scale
+    ):
+        # At its default tolerance HiGHS may return a point off the polytope
+        # by up to 1e-7: a basic entry below zero, or the row of a tiny
+        # marginal weight left unmet.  Re-solve once at the tightest one.
+        res = linprog(
+            cost,
+            A_eq=kmat,
+            b_eq=rhs,
+            bounds=(0, None),
+            method="highs",
+            options={"presolve": False, "primal_feasibility_tolerance": HIGHS_TIGHT_TOL},
+        )
+        if res.status != 0:
+            raise NumericError(f"LP solver failed at tight tolerance: {res.message}")
+        solution = np.array(res.x, dtype=float)
 
-    if cost is not None:
-        rows = tableau.shape[0] - 1
-        cb = cost[basis]
-        tableau[rows, :n] = cost - cb @ tableau[:rows, :n]
-        tableau[rows, n:] = 0.0
-        tableau[rows, -1] = -(cb @ tableau[:rows, -1])
-        status = _iterate(tableau, basis, n_allowed=n, max_iter=max_iter)
-        if status == "unbounded":
-            raise NumericError("objective is unbounded below on the feasible set")
-
-    solution = np.zeros(n)
-    for i, b in enumerate(basis):
-        if b < n:
-            solution[b] = tableau[i, -1]
     solution[(solution < 0.0) & (solution > -1e-10)] = 0.0
     if solution.min() < -1e-10:
-        raise NumericError("simplex produced a negative basic variable")
+        raise NumericError("LP solution has a negative entry")
     residual = float(np.abs(kmat @ solution - rhs).max())
     if residual > FEASIBILITY_TOL * rhs_scale:
-        raise NumericError(f"simplex solution residual too large: {residual:.3e}")
+        raise NumericError(f"LP solution residual too large: {residual:.3e}")
     return LpOutcome(status="feasible", solution=solution)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     MERCEDES_BENZ,
@@ -9,6 +11,8 @@ from helpers import (
 )
 from pframes import linalg
 from pframes.duality import (
+    CERTIFICATE_TOL,
+    PRODUCT_TOL,
     FarkasCertificate,
     TransportPlan,
     canonical_dual,
@@ -203,6 +207,99 @@ def test_feasibility_agrees_with_enumeration_oracle():
             infeasible_count += 1
             assert certificate_is_valid(result, mu, nu)
     assert feasible_count > 0 and infeasible_count > 0
+
+
+def merged_weights(atoms, weights):
+    """Total weight per distinct atom, keyed by the atom's coordinates."""
+    table = {}
+    for atom, w in zip(np.asarray(atoms), np.asarray(weights)):
+        key = tuple(atom.tolist())
+        table[key] = table.get(key, 0.0) + float(w)
+    return table
+
+
+def assert_dual_plan(plan, mu, nu):
+    """Check a returned plan from scratch: it couples the inputs (up to the
+    duplicate merge) and has identity cross moment."""
+    a = plan.coupling
+    assert a.min() >= -1e-10
+    for side, measure, sums in (
+        (plan.row_measure, mu, a.sum(axis=1)),
+        (plan.col_measure, nu, a.sum(axis=0)),
+    ):
+        assert np.abs(sums - side.weights).max() <= 1e-8
+        want = merged_weights(measure.atoms, measure.weights)
+        got = merged_weights(side.atoms, sums)
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-8
+    cross = plan.row_measure.atoms.T @ a @ plan.col_measure.atoms
+    assert np.abs(cross - np.eye(mu.dim)).max() <= PRODUCT_TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [12, 14, 16, 18, 20, 30, 50])
+def test_canonical_dual_of_uniform_3d_frame_gets_a_plan(n, seed):
+    # Feasible by construction (the diagonal coupling along S^{-1}); the
+    # LP must find some plan rather than raise.
+    mu = random_frame_measure(np.random.default_rng(seed), 3, n, uniform=True)
+    nu = canonical_dual(mu)
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, TransportPlan)
+    assert_dual_plan(result, mu, nu)
+
+
+@pytest.mark.parametrize("seed", [5, 32, 45, 83])
+def test_psi_h_dual_with_tiny_weights_gets_a_plan(seed):
+    # Dirichlet(1/2) weights reach 1e-7, below the solver's default primal
+    # feasibility tolerance; the plan must still meet every marginal.
+    rng = np.random.default_rng(seed)
+    mu = DiscreteMeasure(atoms=rng.normal(size=(20, 3)), weights=rng.dirichlet(np.full(20, 0.5)))
+    nu = psi_h_dual(mu, 0.3 * rng.normal(size=(20, 3)))
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, TransportPlan)
+    assert_dual_plan(result, mu, nu)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    extra=st.integers(0, 10),
+    repeats=st.integers(1, 7),
+    concentration=st.floats(0.2, 2.0),
+)
+def test_canonical_dual_with_duplicates_and_skewed_weights_gets_a_plan(
+    seed, dim, extra, repeats, concentration
+):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(dim + extra, dim))
+    atoms = np.vstack([base, base[rng.integers(0, base.shape[0], size=repeats)]])
+    weights = rng.dirichlet(np.full(atoms.shape[0], concentration))
+    mu = DiscreteMeasure(atoms=atoms, weights=weights)
+    assert mu.count <= 20
+    assume(np.linalg.eigvalsh(frame_operator(mu))[0] > 0.05)
+    nu = canonical_dual(mu)
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, TransportPlan)
+    assert_dual_plan(result, mu, nu)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 30), dim=st.integers(2, 3))
+def test_zero_centroid_obstruction_gets_a_certificate(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    atoms = rng.normal(size=(n, dim))
+    mu = DiscreteMeasure(atoms=atoms - atoms.mean(axis=0), weights=np.full(n, 1.0 / n))
+    assume(frame_report(mu).is_frame)
+    assert zero_centroid_obstruction(mu)
+    nu = DiscreteMeasure(atoms=rng.normal(size=(dim, dim)), weights=np.full(dim, 1.0 / dim))
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, FarkasCertificate)
+    # The Farkas alternative, evaluated here rather than by the library.
+    pairings = mu.atoms @ result.B @ nu.atoms.T + result.u[:, None] + result.v[None, :]
+    combined = np.trace(result.B) + result.u @ mu.weights + result.v @ nu.weights
+    assert pairings.min() >= -CERTIFICATE_TOL
+    assert combined <= -CERTIFICATE_TOL
 
 
 # --- zero centroid -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from helpers import (
     brute_force_assignment,
@@ -105,6 +106,33 @@ def test_lp_plan_beats_random_feasible_plans():
     for _ in range(100):
         other = ipf_plan(rng, mu.weights, nu.weights)
         assert optimal <= float((other * cost).sum()) + 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 13, 14, 17])
+def test_tiny_marginal_weights_are_met(seed):
+    # Dirichlet(1/5) weights reach 1e-10, below the solver's default primal
+    # feasibility tolerance: every marginal must still be met, at the optimum.
+    rng = np.random.default_rng(seed)
+    mu = DiscreteMeasure(atoms=rng.normal(size=(20, 2)), weights=rng.dirichlet(np.full(20, 0.2)))
+    nu = DiscreteMeasure(atoms=rng.normal(size=(20, 2)), weights=rng.dirichlet(np.full(20, 0.2)))
+    solution = wasserstein2(mu, nu)
+    coupling = solution.plan.coupling
+    assert np.abs(coupling.sum(axis=1) - mu.weights).max() <= 1e-8
+    assert np.abs(coupling.sum(axis=0) - nu.weights).max() <= 1e-8
+    cost = squared_distance_matrix(mu.atoms, nu.atoms)
+    constraints = np.vstack(
+        [np.kron(np.eye(20), np.ones((1, 20))), np.kron(np.ones((1, 20)), np.eye(20))]
+    )
+    reference = linprog(
+        cost.ravel(),
+        A_eq=constraints,
+        b_eq=np.concatenate([mu.weights, nu.weights]),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert reference.status == 0
+    assert abs(solution.distance_squared - reference.fun) <= 1e-8
 
 
 def test_dimension_mismatch():
