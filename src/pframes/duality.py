@@ -64,6 +64,19 @@ class TransportPlan:
         a.flags.writeable = False
         object.__setattr__(self, "coupling", a)
 
+    @classmethod
+    def from_solver(cls, row_measure, col_measure, coupling) -> TransportPlan:
+        """Wrap a coupling made by a solver.
+
+        ``solve_lp`` accepts residuals up to ``FEASIBILITY_TOL * (1 +
+        max|t|)``, looser than ``PLAN_TOL``; a solver point that fails the
+        plan checks is a numeric failure, not an input error.
+        """
+        try:
+            return cls(row_measure, col_measure, coupling)
+        except ValueError as exc:
+            raise NumericError(f"solver coupling is not a valid plan: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class FarkasCertificate:
@@ -218,7 +231,7 @@ def find_transport_dual(
     outcome = solve_lp(LinearProgram(constraint_matrix=kprime, rhs=tprime))
 
     if outcome.status == "feasible":
-        plan = TransportPlan(mu_m, nu_m, outcome.solution.reshape(n, m))
+        plan = TransportPlan.from_solver(mu_m, nu_m, outcome.solution.reshape(n, m))
         if not verify_transport_dual(plan):
             raise NumericError("LP coupling failed the duality product check")
         return plan

@@ -12,6 +12,14 @@ tolerances), read off the equality duals of the elastic LP
 ``min 1^T (s+ + s-)  s.t.  K a + s+ - s- = t``; the certificate is
 re-validated before it is returned, never emitted unchecked.  The intended
 scale is couplings up to roughly 50 x 50.
+
+``hungarian`` makes one ``linear_sum_assignment`` solve (Crouse, IEEE TAES
+2016), takes duals for its permutation by complementary slackness, and
+returns the lexicographically smallest permutation on edges whose reduced
+cost is at most ``tol / n``, ``tol = 1e-9 (1 + |best|)``; every such
+permutation costs at most ``best + tol``, which is re-checked.  Rows are
+fixed one at a time with ``maximum_bipartite_matching`` (Hopcroft-Karp)
+deciding whether the rows below still match.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, linprog, milp
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import NumericError
 from .linalg import as_matrix
@@ -143,40 +153,67 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(status="feasible", solution=solution)
 
 
+def _column_duals(c: Array, sigma: Array) -> Array:
+    """Column duals ``v`` certifying the optimality of ``sigma``.
+
+    Shortest distances in the column graph with an edge ``sigma(i) -> j`` of
+    weight ``c_ij - c_i,sigma(i)`` (row ``i`` moving to column ``j``), from a
+    virtual source at distance 0 to every column; then ``c_ij - u_i - v_j >=
+    0`` with equality on ``sigma`` for ``u_i = c_i,sigma(i) - v_sigma(i)``.
+    Vectorised Bellman-Ford, at most ``n`` rounds: a round-off cycle in a
+    tie-heavy cost only stops it early, never raises.
+    """
+    n = c.shape[0]
+    weights = c - c[np.arange(n), sigma][:, None]
+    v = np.zeros(n)
+    for _ in range(n):
+        relaxed = (v[sigma][:, None] + weights).min(axis=0)
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    return v
+
+
 def hungarian(cost) -> Array:
     """Minimum-cost assignment for a square cost matrix.
 
     Returns the permutation ``sigma`` (as an index array, ``i -> sigma[i]``)
-    minimizing ``sum_i cost[i, sigma[i]]``; among all optimal assignments the
-    lexicographically smallest one is returned, so ties resolve
-    deterministically.
+    minimizing ``sum_i cost[i, sigma[i]]``; ties resolve deterministically.
+
+    One ``linear_sum_assignment`` solve gives an optimal permutation; its
+    duals ``(u, v)`` (complementary slackness, see ``_column_duals``) mark an
+    edge tight when ``c_ij - u_i - v_j <= tol / n`` with ``tol = 1e-9 (1 +
+    |best|)``.  The result is the lexicographically smallest permutation on
+    tight edges: row by row, the smallest free tight column that still leaves
+    a perfect tight matching of the rows below.  Every such permutation costs
+    at most ``best + tol``, and every optimal one is on tight edges (up to
+    round-off); the total is re-checked against ``best + tol``.
     """
     c = as_matrix(cost, "cost")
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
     n = c.shape[0]
-    rows, cols = linear_sum_assignment(c)
-    best = float(c[rows, cols].sum())
+    rows, perm = linear_sum_assignment(c)
+    best = float(c[rows, perm].sum())
     tol = 1e-9 * (1.0 + abs(best))
+    v = _column_duals(c, perm)
+    u = c[rows, perm] - v[perm]
+    tight = c - u[:, None] - v[None, :] <= tol / n
 
-    perm = np.empty(n, dtype=int)
-    available = list(range(n))
-    fixed_cost = 0.0
-    for i in range(n):
-        tail = np.arange(i + 1, n)
-        for j in available:
-            rest = [col for col in available if col != j]
-            if tail.size:
-                sub = c[np.ix_(tail, rest)]
-                rr, cc = linear_sum_assignment(sub)
-                completion = float(sub[rr, cc].sum())
-            else:
-                completion = 0.0
-            if fixed_cost + c[i, j] + completion <= best + tol:
+    free = np.ones(n, dtype=bool)
+    for i in range(n - 1):
+        for j in np.flatnonzero(tight[i, : perm[i]] & free[: perm[i]]):
+            rest = free.copy()
+            rest[j] = False
+            cols = np.flatnonzero(rest)
+            match = maximum_bipartite_matching(
+                csr_array(tight[i + 1 :][:, cols]), perm_type="column"
+            )
+            if (match >= 0).all():
                 perm[i] = j
-                fixed_cost += float(c[i, j])
-                available.remove(j)
+                perm[i + 1 :] = cols[match]
                 break
-        else:  # pragma: no cover - optimum always extendable
-            raise NumericError("assignment refinement failed to extend a partial optimum")
+        free[perm[i]] = False
+    if float(c[rows, perm].sum()) > best + tol:
+        raise NumericError("lexicographic assignment left the optimal cost")
     return perm

@@ -76,10 +76,10 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
             )
         coupling = np.zeros((n, n))
         coupling[np.arange(n), sigma] = 1.0 / n
-        plan = TransportPlan(mu, nu, coupling)
+        plan = TransportPlan.from_solver(mu, nu, coupling)
         return OtSolution(distance_squared=max(value, 0.0), plan=plan, permutation=sigma)
     coupling, value = _solve_transport_lp(mu, nu, cost)
-    plan = TransportPlan(mu, nu, coupling)
+    plan = TransportPlan.from_solver(mu, nu, coupling)
     return OtSolution(distance_squared=max(value, 0.0), plan=plan)
 
 

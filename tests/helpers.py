@@ -1,11 +1,15 @@
 """Shared test utilities: random frames, brute-force oracles, feasible-plan
-generators.  Everything here is independent of the solver paths it checks."""
+generators, and a ``solve_lp`` wrapper that injects a residual.  The oracles
+are independent of the solver paths they check."""
 
 import itertools
 
 import numpy as np
 
+from scipy.optimize import linear_sum_assignment
+
 from pframes.measures import DiscreteMeasure, frame_operator
+from pframes.optim import FEASIBILITY_TOL, LpOutcome
 
 MERCEDES_BENZ = np.array(
     [[0.0, 1.0], [-np.sqrt(3.0) / 2.0, -0.5], [np.sqrt(3.0) / 2.0, -0.5]]
@@ -85,6 +89,36 @@ def brute_force_assignment(cost):
     return best_val, np.array(min(optimal))
 
 
+def refined_assignment(cost):
+    """Lexicographically smallest permutation costing at most ``best + tol``,
+    fixed row by row with one ``linear_sum_assignment`` completion per
+    candidate column: O(n^2) solves, a reference for small and tie-heavy
+    costs only."""
+    c = np.asarray(cost, dtype=float)
+    n = c.shape[0]
+    rows, cols = linear_sum_assignment(c)
+    best = float(c[rows, cols].sum())
+    tol = 1e-9 * (1.0 + abs(best))
+    perm = np.empty(n, dtype=int)
+    available = list(range(n))
+    fixed_cost = 0.0
+    for i in range(n):
+        tail = np.arange(i + 1, n)
+        for j in available:
+            rest = [col for col in available if col != j]
+            completion = 0.0
+            if tail.size:
+                sub = c[np.ix_(tail, rest)]
+                rr, cc = linear_sum_assignment(sub)
+                completion = float(sub[rr, cc].sum())
+            if fixed_cost + c[i, j] + completion <= best + tol:
+                perm[i] = j
+                fixed_cost += float(c[i, j])
+                available.remove(j)
+                break
+    return perm
+
+
 def brute_force_monotone(xs, ys):
     """Exhaustive cyclical-monotonicity check (identity maximizes gains)."""
     gains = xs @ ys.T
@@ -137,3 +171,20 @@ def duality_feasible_bruteforce(mu, nu, tol=1e-8):
             if float(np.abs(sub @ coeffs - target).max()) <= tol * scale:
                 return True
     return False
+
+
+def with_row_residual(solve_lp, residual):
+    """Wrap ``solve_lp`` so that feasible points come back with ``residual``
+    added to their first entry.  The point must still pass ``solve_lp``'s own
+    residual rule, ``FEASIBILITY_TOL * (1 + max|t|)``."""
+
+    def perturbed(lp):
+        outcome = solve_lp(lp)
+        if outcome.status != "feasible":
+            return outcome
+        solution = outcome.solution.copy()
+        solution[0] += residual
+        assert residual <= FEASIBILITY_TOL * (1.0 + float(np.abs(lp.rhs).max()))
+        return LpOutcome(status="feasible", solution=solution)
+
+    return perturbed

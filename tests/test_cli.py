@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import MERCEDES_BENZ, random_frame_measure, remark_instance
+import pframes.duality
+from helpers import MERCEDES_BENZ, random_frame_measure, remark_instance, with_row_residual
 from pframes import canonical_dual
 from pframes.cli import main
 from pframes.duality import plan_arrays_from_payload
@@ -88,6 +89,19 @@ def test_transport_dual_remark_pair(tmp_path, capsys):
     assert coupling.shape == (3, 2)
     assert np.abs(coupling.sum(axis=1) - rows).max() <= 1e-8
     assert np.abs(coupling.sum(axis=0) - cols).max() <= 1e-8
+
+
+def test_transport_dual_invalid_solver_coupling_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        pframes.duality, "solve_lp", with_row_residual(pframes.duality.solve_lp, 1.5e-8)
+    )
+    mu, nu = remark_instance()
+    mu_path = write_measure(tmp_path / "mu.json", mu)
+    nu_path = write_measure(tmp_path / "nu.json", nu)
+    code, out, err = run(capsys, ["transport-dual", mu_path, nu_path])
+    assert code == 3
+    assert out == ""
+    assert "numeric error" in err
 
 
 def test_transport_dual_obstructed_pair(tmp_path, capsys):

@@ -8,7 +8,9 @@ from helpers import (
     duality_feasible_bruteforce,
     random_frame_measure,
     remark_instance,
+    with_row_residual,
 )
+import pframes.duality
 from pframes import linalg
 from pframes.duality import (
     CERTIFICATE_TOL,
@@ -25,7 +27,7 @@ from pframes.duality import (
     verify_transport_dual,
     zero_centroid_obstruction,
 )
-from pframes.errors import NotAFrameError
+from pframes.errors import NotAFrameError, NumericError
 from pframes.measures import DiscreteMeasure, frame_operator, frame_report
 
 
@@ -352,3 +354,14 @@ def test_transport_plan_validation():
         TransportPlan(mu, nu, -np.ones((3, 2)) / 6.0)
     with pytest.raises(ValueError):
         TransportPlan(mu, nu, np.ones((2, 3)) / 6.0)
+
+
+def test_lp_coupling_failing_plan_checks_is_a_numeric_error(monkeypatch):
+    # A 1.5e-8 row residual passes solve_lp (1e-8 * (1 + 1)) but not
+    # PLAN_TOL: the solver's point is at fault, not the input.
+    monkeypatch.setattr(
+        pframes.duality, "solve_lp", with_row_residual(pframes.duality.solve_lp, 1.5e-8)
+    )
+    mu, nu = remark_instance()
+    with pytest.raises(NumericError, match="not a valid plan"):
+        find_transport_dual(mu, nu)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import brute_force_assignment
+import pframes.optim
+from helpers import brute_force_assignment, refined_assignment
 from pframes.errors import NumericError
 from pframes.optim import FEASIBILITY_TOL, LinearProgram, LpOutcome, hungarian, solve_lp
+from pframes.transport import squared_distance_matrix
 
 
 def certificate_holds(cert, kmat, rhs):
@@ -147,3 +151,68 @@ def test_hungarian_matches_brute_force(n):
 def test_hungarian_rejects_nonsquare():
     with pytest.raises(ValueError):
         hungarian(np.ones((2, 3)))
+
+
+def grid_points(rng, n):
+    # 16 distinct points for n atoms: most costs tie.
+    return rng.integers(0, 4, size=(n, 2)).astype(float)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 30, 40])
+def test_hungarian_matches_refinement_on_small_integer_costs(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        cost = rng.integers(0, 3, size=(n, n)).astype(float)
+        assert np.array_equal(hungarian(cost), refined_assignment(cost))
+
+
+@pytest.mark.parametrize("n", [50, 100, 150])
+def test_hungarian_matches_refinement_on_grid_costs(n):
+    rng = np.random.default_rng(200 + n)
+    xs, ys = grid_points(rng, n), grid_points(rng, n)
+    distances = squared_distance_matrix(xs, ys)
+    assert np.array_equal(hungarian(distances), refined_assignment(distances))
+    # is_cyclically_monotone minimizes negated gains.
+    gains = -(xs @ ys.T)
+    assert np.array_equal(hungarian(gains), refined_assignment(gains))
+
+
+@pytest.mark.parametrize("n", [3, 10, 30, 60])
+def test_hungarian_matches_refinement_on_random_costs(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(2):
+        cost = rng.normal(size=(n, n))
+        assert np.array_equal(hungarian(cost), refined_assignment(cost))
+
+
+@st.composite
+def tie_heavy_costs(draw):
+    n = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+    # 0.1 and 1/3 make sums that tie only up to round-off.
+    scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0, -1.0]))
+    return scale * np.array(entries, dtype=float).reshape(n, n)
+
+
+@given(tie_heavy_costs())
+def test_hungarian_matches_brute_force_on_tie_heavy_costs(cost):
+    assert np.array_equal(hungarian(cost), brute_force_assignment(cost)[1])
+
+
+@pytest.mark.parametrize("kind", ["grid", "zeros"])
+def test_hungarian_solves_one_assignment(monkeypatch, kind):
+    calls = []
+    solve = pframes.optim.linear_sum_assignment
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(pframes.optim, "linear_sum_assignment", counting)
+    rng = np.random.default_rng(7)
+    if kind == "grid":
+        cost = squared_distance_matrix(grid_points(rng, 150), grid_points(rng, 150))
+    else:
+        cost = np.zeros((150, 150))
+    hungarian(cost)
+    assert calls == [(150, 150)]

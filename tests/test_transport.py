@@ -7,8 +7,11 @@ from helpers import (
     brute_force_monotone,
     ipf_plan,
     random_frame_measure,
+    with_row_residual,
 )
+import pframes.transport
 from pframes.duality import canonical_dual
+from pframes.errors import NumericError
 from pframes.measures import DiscreteMeasure
 from pframes.transport import (
     is_cyclically_monotone,
@@ -226,3 +229,15 @@ def test_optimal_permutation_matches_brute_force(n):
     _, gain_perm = brute_force_assignment(-gains)
     assert abs(cost[np.arange(n), sigma].sum() - best_val) <= 1e-9 * (1 + abs(best_val))
     assert np.array_equal(gain_perm, best_perm)
+
+
+def test_lp_coupling_failing_plan_checks_is_a_numeric_error(monkeypatch):
+    # A 1.5e-8 row residual passes solve_lp (1e-8 * (1 + 0.6)) but not
+    # PLAN_TOL: the solver's point is at fault, not the input.
+    monkeypatch.setattr(
+        pframes.transport, "solve_lp", with_row_residual(pframes.transport.solve_lp, 1.5e-8)
+    )
+    mu = DiscreteMeasure(atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[0.6, 0.4])
+    nu = DiscreteMeasure(atoms=[[1.0, 1.0], [-1.0, 0.5], [0.2, -1.0]], weights=[0.5, 0.3, 0.2])
+    with pytest.raises(NumericError, match="not a valid plan"):
+        wasserstein2(mu, nu)
