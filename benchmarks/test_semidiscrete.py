@@ -1,0 +1,44 @@
+"""Per-layer timing of semi-discrete adaptation on pytest-benchmark.
+
+Run from the repository root (tier-1 collects only ``tests/``):
+
+    PYTHONPATH=src python -m pytest benchmarks/test_semidiscrete.py --benchmark-json=out.json
+
+``adapt_weights`` fits 8 and 32 sites, spread over the unit square by
+farthest-point sampling, to Dirichlet targets at 200k samples;
+``assign_cells`` labels 200k points of the unit cube with 16 sites.
+"""
+
+import numpy as np
+import pytest
+
+from pframes.semidiscrete import BoxReference, adapt_weights, assign_cells
+
+
+def spread_sites(rng, reference, count):
+    pool = reference.sample(rng, 4000)
+    chosen = [0]
+    gap = ((pool - pool[0]) ** 2).sum(axis=1)
+    for _ in range(count - 1):
+        chosen.append(int(np.argmax(gap)))
+        gap = np.minimum(gap, ((pool - pool[chosen[-1]]) ** 2).sum(axis=1))
+    return pool[chosen]
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_adapt_weights(benchmark, n):
+    rng = np.random.default_rng(n)
+    box = BoxReference(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    sites = spread_sites(rng, box, n)
+    targets = rng.dirichlet(np.full(n, 5.0))
+    coupling = benchmark(adapt_weights, sites, targets, box, 200_000, seed=n)
+    assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
+
+
+def test_assign_cells(benchmark):
+    rng = np.random.default_rng(16)
+    sites = rng.uniform(size=(16, 3))
+    weights = rng.normal(size=16) * 0.05
+    points = rng.uniform(size=(200_000, 3))
+    cells = benchmark(assign_cells, sites, weights, points)
+    assert cells.shape == (200_000,)

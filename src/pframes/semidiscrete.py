@@ -4,13 +4,18 @@ An absolutely continuous reference measure is coupled to a discrete target
 by partitioning space into power cells ``Vor_P^w(p) = {x : ||x-p||^2 - w(p)
 <= ||x-q||^2 - w(q) for all q}`` and transporting each cell to its site.
 Weights are *adapted* when every cell carries exactly its site's target
-mass; they are found by ascending the concave semi-discrete dual
+mass, i.e. at a maximiser of the concave semi-discrete dual
 
     F(w) = sum_p lambda_p w(p) + E[min_p(||X - p||^2 - w(p))],
 
-whose p-th gradient component is ``lambda_p - mass_p(w)``.  Cell masses are
-Monte Carlo estimates on one fixed sample set (common random numbers), so a
-run is deterministic given its seed.  The resulting couplings realize
+whose p-th gradient component is ``lambda_p - mass_p(w)``.  They are found
+by damped Newton steps on the cell masses, whose Jacobian is the Monte
+Carlo graph Laplacian of the cell boundaries (Kitagawa, Merigot and
+Thibert, JEMS 2019), with harmonic gradient ascent on ``F`` as the
+fallback.  Cell masses are Monte Carlo estimates on one fixed sample set
+(common random numbers), so a run is deterministic given its seed.  Every
+power score comes from one chunked GEMM kernel, ``_power_scores``, whose
+memory is linear in the number of sites.  The resulting couplings realize
 probabilistic analysis and synthesis: coefficient functions are sampled over
 the reference and synthesized back by cell-indexed frame tables.
 """
@@ -21,8 +26,10 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericError
+from .measures import WEIGHT_SUM_TOL
 
 Array = np.ndarray
 
@@ -32,6 +39,14 @@ MAX_ITER = 10_000
 # Step schedule scale*damp/(damp + k): harmonic decay from a travel-scale
 # first step; the dual is concave, so no line search is needed at this scale.
 STEP_DAMP = 50.0
+# Rows per block of the score kernel: a block holds SCORE_ROWS * n scores.
+SCORE_ROWS = 4096
+# Share of the samples, those closest to a cell boundary by score gap, that
+# estimate the mass Jacobian.
+BOUNDARY_SHARE = 0.05
+# A Newton step is halved until it lowers the max mass error; below this
+# fraction of the full step the ascent takes over.
+MIN_NEWTON_STEP = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -104,10 +119,45 @@ class PowerDiagram:
         object.__setattr__(self, "weights", weights)
 
 
+def _power_scores(sites: Array, weights: Array, points: Array):
+    """Power scores ``||x - p||^2 - w(p) - ||x||^2`` in blocks of rows.
+
+    Yields ``(start, block)``, where ``block[i, p] = |p|^2 - w(p) - 2 x.p``
+    for ``x = points[start + i]``: one GEMM per block of ``SCORE_ROWS``
+    points, so memory stays ``O(SCORE_ROWS * n)``.  The dropped ``||x||^2``
+    is common to a row and does not move its argmin.
+    """
+    offset = (sites**2).sum(axis=1) - weights
+    factor = -2.0 * sites.T
+    for start in range(0, points.shape[0], SCORE_ROWS):
+        block = points[start : start + SCORE_ROWS] @ factor
+        block += offset
+        yield start, block
+
+
 def assign_cells(sites: Array, weights: Array, points: Array) -> Array:
     """Cell index per point; argmin takes the lowest index on ties."""
-    scores = ((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2) - weights[None, :]
-    return np.argmin(scores, axis=1)
+    cells = np.empty(points.shape[0], dtype=np.intp)
+    for start, scores in _power_scores(sites, weights, points):
+        cells[start : start + scores.shape[0]] = scores.argmin(axis=1)
+    return cells
+
+
+def _nearest_two(sites: Array, weights: Array, points: Array) -> tuple[Array, Array, Array]:
+    """Best cell, second-best cell and the score gap between them, per point."""
+    count = points.shape[0]
+    best = np.empty(count, dtype=np.intp)
+    second = np.empty(count, dtype=np.intp)
+    gap = np.empty(count)
+    for start, scores in _power_scores(sites, weights, points):
+        part = slice(start, start + scores.shape[0])
+        rows = np.arange(scores.shape[0])
+        best[part] = scores.argmin(axis=1)
+        low = scores[rows, best[part]]
+        scores[rows, best[part]] = np.inf
+        second[part] = scores.argmin(axis=1)
+        gap[part] = scores[rows, second[part]] - low
+    return best, second, gap
 
 
 def voronoi_map(diagram: PowerDiagram, x) -> int:
@@ -146,8 +196,11 @@ class FunctionSamples:
 
 def dual_objective(sites: Array, weights: Array, targets: Array, points: Array) -> float:
     """Monte Carlo estimate of the semi-discrete dual ``F(w)`` on ``points``."""
-    scores = ((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2) - weights[None, :]
-    return float(targets @ weights + scores.min(axis=1).mean())
+    total = 0.0
+    for start, scores in _power_scores(sites, weights, points):
+        block = points[start : start + scores.shape[0]]
+        total += float((scores.min(axis=1) + (block**2).sum(axis=1)).sum())
+    return float(targets @ weights + total / points.shape[0])
 
 
 def _validate_adapt_inputs(sites, target_weights, reference):
@@ -164,11 +217,142 @@ def _validate_adapt_inputs(sites, target_weights, reference):
     if np.any(targets <= 0.0) or not np.all(np.isfinite(targets)):
         raise ValueError("target weights must be positive")
     total = float(targets.sum())
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"target weights must sum to 1 (got {total})")
     if reference.dim != sites.shape[1]:
         raise ValueError("reference dimension does not match sites")
     return sites, targets / total
+
+
+class _MassFit:
+    """Cell masses of candidate weights on one fixed sample set.
+
+    Every evaluation counts against ``budget``; the weights with the smallest
+    max mass error seen so far are kept with their masses.
+    """
+
+    def __init__(self, sites: Array, targets: Array, samples: Array, budget: int):
+        self.sites = sites
+        self.targets = targets
+        self.samples = samples
+        self.budget = budget
+        self.evaluations = 0
+        self.best_err = np.inf
+        self.best_weights = np.zeros(targets.shape[0])
+        self.best_masses = np.zeros(targets.shape[0])
+
+    @property
+    def spent(self) -> bool:
+        return self.evaluations >= self.budget
+
+    def _record(self, w: Array, cells: Array) -> tuple[Array, float]:
+        self.evaluations += 1
+        masses = np.bincount(cells, minlength=self.targets.shape[0]) / cells.shape[0]
+        err = float(np.abs(self.targets - masses).max())
+        if err < self.best_err:
+            self.best_err, self.best_weights, self.best_masses = err, w, masses
+        return masses, err
+
+    def cells(self, w: Array) -> tuple[Array, Array, float]:
+        cells = assign_cells(self.sites, w, self.samples)
+        return (cells, *self._record(w, cells))
+
+    def nearest_two(self, w: Array) -> tuple[Array, Array, Array, Array, float]:
+        best, second, gap = _nearest_two(self.sites, w, self.samples)
+        return (best, second, gap, *self._record(w, best))
+
+
+def _newton_direction(best: Array, second: Array, gap: Array, residual: Array) -> Array | None:
+    """Solve ``L d = residual`` in the gauge ``d[0] = 0``, or ``None``.
+
+    ``L`` is the Monte Carlo mass Jacobian, a graph Laplacian over the cell
+    boundaries.  Raising ``w(q)`` by ``t`` moves into cell ``q`` the samples
+    of a neighbouring cell ``p`` whose score gap to ``q`` is below ``t``, so
+    the samples within a band ``h`` of the ``p``/``q`` boundary, divided by
+    ``h``, estimate ``-dmass_p/dw(q)``; both sides of each boundary count.
+    ``h`` is the gap below which the ``BOUNDARY_SHARE`` of samples lie.
+    ``None`` when ``L`` is non-finite or singular (a disconnected boundary
+    graph), since no Newton step is defined there.
+    """
+    n = residual.shape[0]
+    width = float(np.quantile(gap, BOUNDARY_SHARE))
+    band = gap <= width
+    counts = np.bincount(best[band] * n + second[band], minlength=n * n).reshape(n, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = (counts + counts.T) / (2.0 * width * gap.shape[0])
+    if not np.all(np.isfinite(rate)) or connected_components(rate > 0.0, directed=False)[0] > 1:
+        return None
+    laplacian = np.diag(rate.sum(axis=1)) - rate
+    step = np.zeros(n)
+    try:
+        step[1:] = np.linalg.solve(laplacian[1:, 1:], residual[1:])
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.all(np.isfinite(step)) else None
+
+
+def _newton(fit: _MassFit, adapt_tol: float):
+    """Damped Newton from ``w = 0``: ``(w, cells, masses)`` on success.
+
+    A step is accepted only when it strictly lowers the max mass error and
+    keeps every cell mass at least half the smallest initial mass or target
+    (Kitagawa, Merigot and Thibert's condition: the mass of an empty cell
+    does not respond to small weight changes, so the Jacobian is singular
+    there).  Otherwise the step is halved, down to ``MIN_NEWTON_STEP``.
+    Returns ``None`` when no step is defined or accepted, or the budget runs
+    out; the current point is then ``fit.best_weights``.
+    """
+    w = np.zeros(fit.targets.shape[0])
+    best, second, gap, masses, err = fit.nearest_two(w)
+    floor = 0.5 * min(float(masses.min()), float(fit.targets.min()))
+    while err > adapt_tol:
+        direction = _newton_direction(best, second, gap, fit.targets - masses)
+        if direction is None:
+            return None
+        fraction = 1.0
+        while True:
+            if fit.spent:
+                return None
+            trial = w + fraction * direction
+            t_best, t_second, t_gap, t_masses, t_err = fit.nearest_two(trial)
+            if t_err < err and t_masses.min() >= floor:
+                break
+            fraction /= 2.0
+            if fraction < MIN_NEWTON_STEP:
+                return None
+        w, best, second, gap, masses, err = trial, t_best, t_second, t_gap, t_masses, t_err
+    return w, best, masses
+
+
+def _harmonic_ascent(fit: _MassFit, w: Array, adapt_tol: float):
+    """Averaged gradient ascent on the dual from ``w``: ``(w, cells, masses)``
+    once the max mass error reaches ``adapt_tol``, ``None`` when the budget
+    runs out.
+
+    Steps follow the ``scale * damp / (damp + k)`` schedule, with ``scale``
+    the largest squared distance between sites; every 25th iteration also
+    tries the running average of the iterates, and the gauge ``w[0] = 0`` is
+    kept (the dual is invariant under a common shift).
+    """
+    pairwise = ((fit.sites[:, None, :] - fit.sites[None, :, :]) ** 2).sum(axis=2)
+    scale = max(float(pairwise.max()), 1.0)
+    running_sum = np.zeros_like(w)
+    k = 0
+    while not fit.spent:
+        cells, masses, err = fit.cells(w)
+        if err <= adapt_tol:
+            return w, cells, masses
+        running_sum += w
+        if (k + 1) % 25 == 0 and not fit.spent:
+            averaged = running_sum / (k + 1)
+            averaged -= averaged[0]
+            cells_a, masses_a, err_a = fit.cells(averaged)
+            if err_a <= adapt_tol:
+                return averaged, cells_a, masses_a
+        w = w + (scale * STEP_DAMP / (STEP_DAMP + k)) * (fit.targets - masses)
+        w -= w[0]
+        k += 1
+    return None
 
 
 def adapt_weights(
@@ -183,33 +367,32 @@ def adapt_weights(
 ) -> SemiDiscreteCoupling:
     """Find power weights whose cell masses match the target weights.
 
-    Averaged gradient ascent on the dual with a ``scale/(1 + k/damp)`` step
-    schedule; one sample set is drawn up front and reused across iterations,
-    and the gauge ``w[0] = 0`` is maintained (the dual is invariant under
-    adding a constant to all weights).  Terminates when the max cell-mass
-    error drops to ``adapt_tol``; on non-convergence a ``NumericError`` is
+    One sample set is drawn up front and every cell mass is counted on it.
+    Damped Newton steps from ``w = 0`` come first: the mass Jacobian is a
+    Monte Carlo graph Laplacian over the samples nearest a cell boundary,
+    solved in the gauge ``w[0] = 0``, and a step is halved until it strictly
+    lowers the max mass error.  When the Laplacian is singular or
+    non-finite, or no step down to ``MIN_NEWTON_STEP`` is accepted, averaged
+    harmonic gradient ascent on the dual continues from the last Newton
+    point.  Terminates as soon as the max cell-mass error is at most
+    ``adapt_tol``.  ``max_iter`` bounds the number of mass evaluations,
+    Newton's trial steps included; on non-convergence a ``NumericError`` is
     raised carrying the best weights seen (``best_weights``/``best_masses``
     attributes).
     """
     sites, targets = _validate_adapt_inputs(sites, target_weights, reference)
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    n = sites.shape[0]
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     rng = np.random.default_rng(seed)
     samples = reference.sample(rng, sample_count)
-    sqdists = ((samples[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
-
-    pairwise = ((sites[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
-    scale = max(float(pairwise.max()), 1.0)
-
-    def masses_at(w: Array) -> tuple[Array, Array]:
-        cells = np.argmin(sqdists - w[None, :], axis=1)
-        return cells, np.bincount(cells, minlength=n) / sample_count
-
-    def finish(w: Array, cells: Array, masses: Array) -> SemiDiscreteCoupling:
-        diagram = PowerDiagram(sites=sites, weights=w, reference=reference)
+    fit = _MassFit(sites, targets, samples, max_iter)
+    found = _newton(fit, adapt_tol) or _harmonic_ascent(fit, fit.best_weights, adapt_tol)
+    if found is not None:
+        w, cells, masses = found
         return SemiDiscreteCoupling(
-            diagram=diagram,
+            diagram=PowerDiagram(sites=sites, weights=w, reference=reference),
             target_weights=targets,
             sample_count=sample_count,
             achieved_masses=masses,
@@ -218,35 +401,12 @@ def adapt_weights(
             seed=seed,
             site_map=sites,
         )
-
-    w = np.zeros(n)
-    running_sum = np.zeros(n)
-    best_err, best_w = np.inf, w.copy()
-    for k in range(max_iter):
-        cells, masses = masses_at(w)
-        gradient = targets - masses
-        err = float(np.abs(gradient).max())
-        if err < best_err:
-            best_err, best_w = err, w.copy()
-        if err <= adapt_tol:
-            return finish(w, cells, masses)
-        running_sum += w
-        if (k + 1) % 25 == 0:
-            averaged = running_sum / (k + 1)
-            averaged -= averaged[0]
-            cells_a, masses_a = masses_at(averaged)
-            if float(np.abs(targets - masses_a).max()) <= adapt_tol:
-                return finish(averaged, cells_a, masses_a)
-        w = w + (scale * STEP_DAMP / (STEP_DAMP + k)) * gradient
-        w -= w[0]
-
-    cells_b, masses_b = masses_at(best_w)
     error = NumericError(
         f"weight adaptation did not reach tolerance {adapt_tol} in {max_iter} "
-        f"iterations (best max error {best_err:.3e})"
+        f"mass evaluations (best max error {fit.best_err:.3e})"
     )
-    error.best_weights = best_w
-    error.best_masses = masses_b
+    error.best_weights = fit.best_weights
+    error.best_masses = fit.best_masses
     raise error
 
 

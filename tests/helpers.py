@@ -1,6 +1,6 @@
 """Shared test utilities: random frames, brute-force oracles, feasible-plan
-generators, and a ``solve_lp`` wrapper that injects a residual.  The oracles
-are independent of the solver paths they check."""
+generators, a ``solve_lp`` wrapper that injects a residual, and power-cell
+helpers.  The oracles are independent of the solver paths they check."""
 
 import itertools
 
@@ -188,3 +188,20 @@ def with_row_residual(solve_lp, residual):
         return LpOutcome(status="feasible", solution=solution)
 
     return perturbed
+
+
+def broadcast_power_scores(sites, weights, points):
+    """``||x - p||^2 - w(p)`` for every point and site, by broadcasting: an
+    ``(S, n, d)`` temporary, a reference for the library's GEMM kernel only."""
+    return ((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2) - weights[None, :]
+
+
+def spread_sites(rng, reference, count):
+    """Sites spread over ``reference`` by farthest-point sampling of a pool."""
+    pool = reference.sample(rng, 4000)
+    chosen = [0]
+    gap = ((pool - pool[0]) ** 2).sum(axis=1)
+    for _ in range(count - 1):
+        chosen.append(int(np.argmax(gap)))
+        gap = np.minimum(gap, ((pool - pool[chosen[-1]]) ** 2).sum(axis=1))
+    return pool[chosen]

@@ -1,4 +1,5 @@
-"""Smoke tests: the experiment scripts that drive the LP run to completion."""
+"""Smoke tests: the experiment scripts (LP duals, geodesic sweeps and
+semi-discrete adaptation) run to completion on small inputs."""
 
 import os
 import subprocess
@@ -38,3 +39,10 @@ def test_geodesic_sweep_runs(tmp_path):
         lines = path.read_text().splitlines()
         assert lines[0] == "t,lambda_min,lambda_max,m2"
         assert len(lines) == 12
+
+
+def test_quartile_adaptation_runs(tmp_path):
+    proc = run_script("quartile_adaptation.py", "--samples", "20000", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "vs exact quartile" in proc.stdout
+    assert "log-log slope" in proc.stdout

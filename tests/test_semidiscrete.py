@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import broadcast_power_scores, spread_sites
+from pframes import semidiscrete
 from pframes.errors import NumericError
 from pframes.semidiscrete import (
     BoxReference,
@@ -64,7 +67,92 @@ def test_assign_cells_matches_pointwise_map():
     assert all(bulk[i] == voronoi_map(diagram, p) for i, p in enumerate(points))
 
 
+def test_assign_cells_agrees_with_broadcast_scores():
+    # The GEMM kernel rounds differently from the broadcast difference, so
+    # only points within rounding of a cell boundary may change cell.
+    rng = np.random.default_rng(21)
+    sites = rng.normal(size=(16, 3))
+    weights = rng.normal(size=16) * 0.3
+    points = rng.normal(size=(200_000, 3))
+    cells = assign_cells(sites, weights, points)
+    moved = np.flatnonzero(cells != np.argmin(broadcast_power_scores(sites, weights, points), axis=1))
+    assert moved.size <= 3
+    scores = broadcast_power_scores(sites, weights, points[moved])
+    rows = np.arange(moved.size)
+    low = scores.min(axis=1)
+    assert np.all(scores[rows, cells[moved]] - low <= 1e-12 * (1.0 + np.abs(scores).max(axis=1)))
+
+
+def traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_cells_memory_is_bounded():
+    # 16 sites and 200k samples in 3-d: an (S, n, d) broadcast temporary
+    # alone takes 77 MB; the chunked kernel keeps the peak near the samples.
+    rng = np.random.default_rng(22)
+    box = BoxReference(lower=np.zeros(3), upper=np.ones(3))
+    sites = box.sample(rng, 16)
+    targets = np.full(16, 1.0 / 16.0)
+    assert traced_peak_mb(lambda: adapt_weights(sites, targets, box, 200_000, seed=23)) < 32.0
+    points = box.sample(rng, 200_000)
+    assert traced_peak_mb(lambda: assign_cells(sites, np.zeros(16), points)) < 32.0
+
+
 # --- weight adaptation -------------------------------------------------------
+
+
+def count_mass_evaluations(monkeypatch):
+    calls = []
+    kernel = semidiscrete._power_scores
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(semidiscrete, "_power_scores", counted)
+    return calls
+
+
+def test_newton_adapts_spread_sites_in_few_evaluations(monkeypatch):
+    rng = np.random.default_rng(24)
+    box = BoxReference(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    sites = spread_sites(rng, box, 16)
+    targets = rng.dirichlet(np.full(16, 5.0))
+    calls = count_mass_evaluations(monkeypatch)
+    coupling = adapt_weights(sites, targets, box, 50_000, seed=25)
+    assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
+    assert len(calls) <= 20
+
+
+def test_ascent_takes_over_when_newton_rejects_its_first_step(monkeypatch):
+    # At w = 0 the cell whose target is largest holds 6 of 20k samples, so
+    # the first Newton step overshoots: no fraction of it down to
+    # MIN_NEWTON_STEP lowers the max mass error and keeps every cell above
+    # the mass floor.
+    # The ascent then starts from w = 0 and must still meet the tolerance.
+    rng = np.random.default_rng(138)
+    gaussian = GaussianReference(2)
+    sites = spread_sites(rng, gaussian, 8)
+    targets = rng.dirichlet(np.ones(8))
+    starts = []
+    ascent = semidiscrete._harmonic_ascent
+
+    def spied(fit, w, *args):
+        starts.append((w.copy(), fit.evaluations))
+        return ascent(fit, w, *args)
+
+    monkeypatch.setattr(semidiscrete, "_harmonic_ascent", spied)
+    coupling = adapt_weights(sites, targets, gaussian, 20_000, seed=138)
+    trials = int(np.log2(1.0 / semidiscrete.MIN_NEWTON_STEP)) + 1
+    assert len(starts) == 1
+    assert np.all(starts[0][0] == 0.0) and starts[0][1] == 1 + trials
+    assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
 
 
 def test_single_site_is_trivial():
@@ -119,19 +207,27 @@ def test_adapt_input_validation():
     with pytest.raises(ValueError):
         adapt_weights(np.array([[1.0], [-1.0]]), [0.5, 0.5], ref, 100)
     with pytest.raises(ValueError):
+        adapt_weights(TWO_SITES, [0.5, 0.5], ref, 100, max_iter=0)
+    with pytest.raises(ValueError):
         GaussianReference(4)
     with pytest.raises(ValueError):
         BoxReference(lower=[0.0, 1.0], upper=[1.0, 0.5])
 
 
-def test_nonconvergence_carries_best_weights():
+def test_nonconvergence_carries_best_weights(monkeypatch):
     # 2000 samples cannot realize masses of 1/3 exactly, so a 1e-9 tolerance
-    # is unreachable.
+    # is unreachable.  max_iter bounds every mass evaluation, Newton's trial
+    # steps included.
+    calls = count_mass_evaluations(monkeypatch)
     with pytest.raises(NumericError) as info:
         adapt_weights(TWO_SITES, [1.0 / 3.0, 2.0 / 3.0], GaussianReference(2), 2000, seed=6,
                       adapt_tol=1e-9, max_iter=40)
+    assert len(calls) == 40
     assert info.value.best_weights.shape == (2,)
     assert info.value.best_masses.shape == (2,)
+    samples = GaussianReference(2).sample(np.random.default_rng(6), 2000)
+    cells = assign_cells(TWO_SITES, info.value.best_weights, samples)
+    assert np.array_equal(np.bincount(cells, minlength=2) / 2000, info.value.best_masses)
 
 
 def test_gradient_matches_finite_difference():
@@ -146,15 +242,12 @@ def test_gradient_matches_finite_difference():
     rng = np.random.default_rng(7)
     ref = GaussianReference(2)
 
-    def score_samples(w, pts):
-        return (((pts[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2) - w[None, :]).min(axis=1)
-
     for coord in (0, 1):
         shift = np.zeros(2)
         shift[coord] = step
         pts_plus, pts_minus, pts_mass = (ref.sample(rng, count) for _ in range(3))
-        up = score_samples(weights + shift, pts_plus)
-        down = score_samples(weights - shift, pts_minus)
+        up = broadcast_power_scores(sites, weights + shift, pts_plus).min(axis=1)
+        down = broadcast_power_scores(sites, weights - shift, pts_minus).min(axis=1)
         f_plus = targets @ (weights + shift) + up.mean()
         f_minus = targets @ (weights - shift) + down.mean()
         fd = (f_plus - f_minus) / (2.0 * step)
