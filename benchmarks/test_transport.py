@@ -1,0 +1,42 @@
+"""Per-layer timing of ``wasserstein2`` and ``geodesic_profile`` on
+pytest-benchmark.
+
+Run from the repository root (tier-1 collects only ``tests/``):
+
+    PYTHONPATH=src python -m pytest benchmarks/test_transport.py --benchmark-json=out.json
+
+``wasserstein2`` runs at n = 40 and 200 on 3-d normal atoms, between uniform
+measures (the assignment route) and between Dirichlet(1) weights (the LP
+route).  ``geodesic_profile`` runs at n = 16 and 50, from a uniform 3-d frame
+to its canonical dual, on the default 101-point grid.
+"""
+
+import numpy as np
+import pytest
+
+from pframes.duality import canonical_dual
+from pframes.geodesics import geodesic_profile
+from pframes.measures import DiscreteMeasure
+from pframes.transport import wasserstein2
+
+
+def measure(rng, n, weights):
+    if weights == "uniform":
+        return DiscreteMeasure(atoms=rng.normal(size=(n, 3)), weights=np.full(n, 1.0 / n))
+    return DiscreteMeasure(atoms=rng.normal(size=(n, 3)), weights=rng.dirichlet(np.ones(n)))
+
+
+@pytest.mark.parametrize("n", [40, 200])
+@pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+def test_wasserstein2(benchmark, weights, n):
+    rng = np.random.default_rng(n)
+    mu, nu = measure(rng, n, weights), measure(rng, n, weights)
+    solution = benchmark(wasserstein2, mu, nu)
+    assert (solution.permutation is not None) == (weights == "uniform")
+
+
+@pytest.mark.parametrize("n", [16, 50])
+def test_geodesic_profile(benchmark, n):
+    mu = measure(np.random.default_rng(n), n, "uniform")
+    profile = benchmark(geodesic_profile, mu, canonical_dual(mu))
+    assert profile.all_frames

@@ -3,7 +3,9 @@
 Interpolating an optimal plan through ``(x, y) -> (1-t) x + t y`` produces
 the constant-speed geodesic ``mu_t`` between two measures.  Every ``mu_t``
 keeps a finite second moment; whether it stays a probabilistic frame depends
-on the endpoints, and this module certifies it along a parameter grid.  Two
+on the endpoints, and this module certifies it along a parameter grid, where
+the frame operator of ``mu_t`` is a quadratic in ``t`` with three moment
+matrices of the plan as coefficients.  Two
 sufficient conditions are implemented for uniform equal-cardinality frames
 (the segment-rank eigenvalue test and the coherence bound forcing the
 identity pairing), plus the closed-form Gaussian case where the optimal
@@ -21,18 +23,16 @@ from .duality import TransportPlan
 from .errors import NotAFrameError, NumericError
 from .measures import (
     DiscreteMeasure,
-    FrameReport,
     GaussianMeasure,
     frame_report,
     merge_duplicate_atoms,
+    pd_threshold,
 )
-from .transport import optimal_permutation, wasserstein2
+from .optim import MASS_EPS, certify_potentials
+from .transport import certify_plan, optimal_permutation, squared_distance_matrix, wasserstein2
 
 Array = np.ndarray
 
-# Plan entries at or below this are treated as exact zeros when collecting
-# the interpolated support (the LP returns zeros only up to tolerance).
-MASS_EPS = 1e-12
 DEFAULT_GRID = 101
 GEODESIC_IDENTITY_TOL = 1e-6
 
@@ -85,15 +85,37 @@ def geodesic_measure(
     return merge_duplicate_atoms(DiscreteMeasure(atoms=atoms, weights=plan.coupling[rows, cols]))
 
 
+def _certified_half(atoms, weights, fixed, ends, owners, mass) -> float:
+    """Certified W2^2 between a measure and the interpolant ``sum mass_k
+    delta_{ends_k}`` under the coupling ``atoms[owners[k]] -> ends[k]``.
+
+    ``fixed`` is the measure's transported potential and the interpolant's
+    is its c-transform (McCann's displacement interpolation keeps both
+    optimal), so the check needs no solve.
+    """
+    cost = squared_distance_matrix(atoms, ends)
+    free = (cost - fixed[:, None]).min(axis=0)
+    coupling = np.zeros_like(cost)
+    coupling[owners, np.arange(mass.size)] = mass
+    certify_potentials(cost, coupling, weights, mass, fixed, free, "geodesic half plan")
+    return float((coupling * cost).sum())
+
+
 def geodesic_profile(
     mu0: DiscreteMeasure, mu1: DiscreteMeasure, grid_size: int = DEFAULT_GRID
 ) -> GeodesicProfile:
     """Frame bounds along the geodesic between two discrete frames.
 
-    The optimal plan is computed once; each grid point then gets a frame
-    report.  The constant-speed identity ``W(mu0, mu_t) + W(mu_t, mu1) =
-    W(mu0, mu1)`` is verified at up to three interior grid points as a guard
-    against a non-optimal plan.
+    The optimal plan is computed once and certified by its own Kantorovich
+    potentials (``transport.certify_plan``).  Over its support, with masses
+    ``p_k`` on pairs ``(x_k, y_k)``, every interpolant has the frame operator
+    ``S(t) = (1-t)^2 A + t(1-t) (B + B^T) + t^2 C`` for the moment matrices
+    ``A = sum p_k x_k x_k^T``, ``B = sum p_k x_k y_k^T`` and ``C = sum p_k
+    y_k y_k^T``; one batched ``eigvalsh`` over the grid gives the bounds,
+    with ``frame_report``'s rules, and the second moment is the trace.  The
+    constant-speed identity ``W(mu0, mu_t) + W(mu_t, mu1) = W(mu0, mu1)`` is
+    checked at up to three interior grid points, each half certified by the
+    potentials ``t u`` and ``(1-t) v`` carried along the geodesic.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
@@ -103,33 +125,40 @@ def geodesic_profile(
         raise NotAFrameError("right endpoint is not a frame")
 
     solution = wasserstein2(mu0, mu1)
+    # The plan is certified here, whichever solver made it.
+    u, v = certify_plan(solution.plan)
+    rows, cols = np.nonzero(solution.plan.coupling > MASS_EPS)
+    mass = solution.plan.coupling[rows, cols]
+    xs, ys = mu0.atoms[rows], mu1.atoms[cols]
     ts = np.linspace(0.0, 1.0, grid_size)
-    reports: list[FrameReport] = []
-    interpolants: list[DiscreteMeasure] = []
-    for t in ts:
-        mu_t = geodesic_measure(mu0, mu1, solution.plan, float(t))
-        interpolants.append(mu_t)
-        reports.append(frame_report(mu_t))
 
     base = float(np.sqrt(solution.distance_squared))
     if grid_size >= 3:
         interior = np.arange(1, grid_size - 1)
         checks = sorted({int(interior[np.argmin(np.abs(ts[interior] - tau))]) for tau in (0.25, 0.5, 0.75)})
         for idx in checks:
-            left = float(np.sqrt(wasserstein2(mu0, interpolants[idx]).distance_squared))
-            right = float(np.sqrt(wasserstein2(interpolants[idx], mu1).distance_squared))
+            t = float(ts[idx])
+            ends = (1.0 - t) * xs + t * ys
+            left = float(np.sqrt(_certified_half(mu0.atoms, mu0.weights, t * u, ends, rows, mass)))
+            right = float(np.sqrt(_certified_half(mu1.atoms, mu1.weights, (1.0 - t) * v, ends, cols, mass)))
             if abs(left + right - base) > GEODESIC_IDENTITY_TOL:
                 raise NumericError(
-                    f"geodesic additivity violated at t={ts[idx]:.4f}: "
-                    f"{left} + {right} != {base}"
+                    f"geodesic additivity violated at t={t:.4f}: {left} + {right} != {base}"
                 )
 
+    a = xs.T @ (mass[:, None] * xs)
+    b = xs.T @ (mass[:, None] * ys)
+    c = ys.T @ (mass[:, None] * ys)
+    s = (1.0 - ts)[:, None, None] ** 2 * a + (ts * (1.0 - ts))[:, None, None] * (b + b.T)
+    s += ts[:, None, None] ** 2 * c
+    spectra = np.linalg.eigvalsh(s)
+    lows, highs = spectra[:, 0], spectra[:, -1]
     return GeodesicProfile(
         ts=ts,
-        lower_bounds=np.array([r.lower_bound for r in reports]),
-        upper_bounds=np.array([r.upper_bound for r in reports]),
-        second_moments=np.array([r.second_moment for r in reports]),
-        all_frames=bool(all(r.is_frame for r in reports)),
+        lower_bounds=np.maximum(lows, 0.0),
+        upper_bounds=highs,
+        second_moments=np.trace(s, axis1=1, axis2=2),
+        all_frames=bool(all(lo > pd_threshold(hi) for lo, hi in zip(lows, highs))),
     )
 
 

@@ -1,4 +1,5 @@
-"""Exact small-scale solvers: equality-form LP and linear assignment.
+"""Exact small-scale solvers: equality-form LP, linear assignment, and
+Kantorovich potentials.
 
 ``solve_lp`` decides feasibility of ``K a = t, a >= 0`` and, with an
 objective, optimizes over that set, using the HiGHS dual revised simplex
@@ -13,8 +14,13 @@ tolerances), read off the equality duals of the elastic LP
 re-validated before it is returned, never emitted unchecked.  The intended
 scale is couplings up to roughly 50 x 50.
 
+``kantorovich_potentials`` finds dual potentials ``(u, v)`` for the support
+of a transportation coupling by Bellman-Ford on its difference constraints,
+and ``certify_potentials`` checks that they prove the coupling optimal:
+dual feasibility and a zero primal-dual gap, both to ``OPTIMALITY_RTOL``.
+
 ``hungarian`` makes one ``linear_sum_assignment`` solve (Crouse, IEEE TAES
-2016), takes duals for its permutation by complementary slackness, and
+2016), takes potentials for its permutation from the same routine, and
 returns the lexicographically smallest permutation on edges whose reduced
 cost is at most ``tol / n``, ``tol = 1e-9 (1 + |best|)``; every such
 permutation costs at most ``best + tol``, which is re-checked.  Rows are
@@ -37,6 +43,15 @@ from .linalg import as_matrix
 Array = np.ndarray
 
 FEASIBILITY_TOL = 1e-8
+# Coupling entries at or below this are exact zeros of the support (an LP
+# returns zeros only up to tolerance).
+MASS_EPS = 1e-12
+# Potentials moving by less than this, relative to 1 + max|cost|, in a
+# Bellman-Ford round have converged up to round-off.
+ROUNDOFF_RTOL = 1e-14
+# Relative bound, on 1 + |optimal value|, for the slack and the primal-dual
+# gap of a Kantorovich potentials certificate.
+OPTIMALITY_RTOL = 1e-8
 # HiGHS counts bound and row violations up to its primal feasibility
 # tolerance (1e-7 by default) as feasible; this is the tightest it accepts.
 HIGHS_TIGHT_TOL = 1e-10
@@ -153,25 +168,59 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(status="feasible", solution=solution)
 
 
-def _column_duals(c: Array, sigma: Array) -> Array:
-    """Column duals ``v`` certifying the optimality of ``sigma``.
+def kantorovich_potentials(cost: Array, support: Array) -> tuple[Array, Array]:
+    """Potentials ``(u, v)`` with ``c_ij - u_i - v_j >= 0`` everywhere and
+    ``= 0`` on ``support``, when the support is c-cyclically monotone.
 
-    Shortest distances in the column graph with an edge ``sigma(i) -> j`` of
-    weight ``c_ij - c_i,sigma(i)`` (row ``i`` moving to column ``j``), from a
-    virtual source at distance 0 to every column; then ``c_ij - u_i - v_j >=
-    0`` with equality on ``sigma`` for ``u_i = c_i,sigma(i) - v_sigma(i)``.
-    Vectorised Bellman-Ford, at most ``n`` rounds: a round-off cycle in a
-    tie-heavy cost only stops it early, never raises.
+    ``v`` is the shortest distance in the column graph with an edge ``j ->
+    j'`` of weight ``c_ij' - c_ij`` for every support entry ``(i, j)`` (row
+    ``i`` moving from column ``j`` to ``j'``), from a virtual source at
+    distance 0 to every column; then ``u_i = c_ij - v_j`` on the support of
+    row ``i`` (the c-transform of ``v`` on a row without support).
+    Vectorised Bellman-Ford, at most one round per column, stopping once no
+    potential moves by more than round-off (``ROUNDOFF_RTOL``): two support
+    entries in one row close a cycle of weight zero, and ties in the cost
+    close more, along which the sums drift by an ulp a round.  A support
+    that is not c-cyclically monotone closes a negative cycle, which only
+    runs out the rounds; nothing raises here, ``certify_potentials``
+    decides what the result proves.
     """
-    n = c.shape[0]
-    weights = c - c[np.arange(n), sigma][:, None]
-    v = np.zeros(n)
-    for _ in range(n):
-        relaxed = (v[sigma][:, None] + weights).min(axis=0)
-        if np.array_equal(relaxed, v):
-            break
+    rows, cols = np.nonzero(support)
+    weights = cost[rows] - cost[rows, cols][:, None]
+    floor = ROUNDOFF_RTOL * (1.0 + float(np.abs(cost).max()))
+    v = np.zeros(cost.shape[1])
+    for _ in range(cost.shape[1]):
+        relaxed = np.minimum(v, (v[cols][:, None] + weights).min(axis=0))
+        moved = float((v - relaxed).max())
         v = relaxed
-    return v
+        if moved <= floor:
+            break
+    reduced = cost - v[None, :]
+    u = np.where(support, reduced, np.inf).min(axis=1)
+    bare = ~support.any(axis=1)
+    u[bare] = reduced[bare].min(axis=1)
+    return u, v
+
+
+def certify_potentials(
+    cost: Array, coupling: Array, alpha: Array, beta: Array, u: Array, v: Array, what: str
+) -> None:
+    """Raise ``NumericError`` unless ``(u, v)`` proves ``coupling`` optimal.
+
+    The proof is weak duality: ``min(c - u - v) >= -tol`` makes ``(u, v)``
+    dual feasible, and a primal-dual gap ``|<c, coupling> - (alpha . u +
+    beta . v)| <= tol`` then puts the coupling within ``2 tol`` of the
+    optimum over every coupling of ``alpha`` and ``beta``, with ``tol =
+    OPTIMALITY_RTOL (1 + |<c, coupling>|)``.
+    """
+    value = float((coupling * cost).sum())
+    tol = OPTIMALITY_RTOL * (1.0 + abs(value))
+    slack = float((cost - u[:, None] - v[None, :]).min())
+    gap = value - float(alpha @ u + beta @ v)
+    if slack < -tol or abs(gap) > tol:
+        raise NumericError(
+            f"{what} is not optimal: minimum slack {slack:.3e}, gap {gap:.3e} (tolerance {tol:.3e})"
+        )
 
 
 def hungarian(cost) -> Array:
@@ -181,11 +230,12 @@ def hungarian(cost) -> Array:
     minimizing ``sum_i cost[i, sigma[i]]``; ties resolve deterministically.
 
     One ``linear_sum_assignment`` solve gives an optimal permutation; its
-    duals ``(u, v)`` (complementary slackness, see ``_column_duals``) mark an
-    edge tight when ``c_ij - u_i - v_j <= tol / n`` with ``tol = 1e-9 (1 +
-    |best|)``.  The result is the lexicographically smallest permutation on
-    tight edges: row by row, the smallest free tight column that still leaves
-    a perfect tight matching of the rows below.  Every such permutation costs
+    Kantorovich potentials ``(u, v)`` (``kantorovich_potentials`` on the
+    permutation's support) mark an edge tight when ``c_ij - u_i - v_j <= tol
+    / n`` with ``tol = 1e-9 (1 + |best|)``.  The result is the
+    lexicographically smallest permutation on tight edges: row by row, the
+    smallest free tight column that still leaves a perfect tight matching of
+    the rows below.  Every such permutation costs
     at most ``best + tol``, and every optimal one is on tight edges (up to
     round-off); the total is re-checked against ``best + tol``.
     """
@@ -196,8 +246,9 @@ def hungarian(cost) -> Array:
     rows, perm = linear_sum_assignment(c)
     best = float(c[rows, perm].sum())
     tol = 1e-9 * (1.0 + abs(best))
-    v = _column_duals(c, perm)
-    u = c[rows, perm] - v[perm]
+    support = np.zeros((n, n), dtype=bool)
+    support[rows, perm] = True
+    u, v = kantorovich_potentials(c, support)
     tight = c - u[:, None] - v[None, :] <= tol / n
 
     free = np.ones(n, dtype=bool)

@@ -4,7 +4,9 @@ The squared distance between two finitely supported measures is the optimal
 value of the transportation LP with squared-Euclidean cost.  When both
 measures are uniform with equal support size, the Birkhoff-von Neumann
 reduction applies: an optimal coupling is a permutation matrix over N, found
-by the assignment solver and cross-checked against the LP.
+by the assignment solver; other pairs solve the LP.  Either plan is
+certified, not re-solved: Kantorovich potentials for its support must be dual
+feasible and close the primal-dual gap.
 """
 
 from __future__ import annotations
@@ -16,19 +18,28 @@ import numpy as np
 from .duality import TransportPlan
 from .errors import NumericError
 from .measures import DiscreteMeasure
-from .optim import LinearProgram, hungarian, solve_lp
+from .optim import (
+    MASS_EPS,
+    LinearProgram,
+    certify_potentials,
+    hungarian,
+    kantorovich_potentials,
+    solve_lp,
+)
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
 class OtSolution:
-    """Optimal squared distance, the realizing plan, and (for uniform
-    equal-cardinality inputs) the optimal permutation."""
+    """Optimal squared distance, the realizing plan, (for uniform
+    equal-cardinality inputs) the optimal permutation, and the Kantorovich
+    potentials ``(u, v)`` that certify the plan."""
 
     distance_squared: float
     plan: TransportPlan
     permutation: Array | None = None
+    potentials: tuple[Array, Array] | None = None
 
 
 def squared_distance_matrix(xs: Array, ys: Array) -> Array:
@@ -55,32 +66,45 @@ def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: Array) -
     return coupling, float((coupling * cost).sum())
 
 
+def certify_plan(plan: TransportPlan) -> tuple[Array, Array]:
+    """Kantorovich potentials ``(u, v)`` proving ``plan`` W2-optimal.
+
+    The potentials come from the plan's support (entries above ``MASS_EPS``);
+    a plan they do not certify raises ``NumericError`` naming the minimum
+    slack and the primal-dual gap.
+    """
+    cost = squared_distance_matrix(plan.row_measure.atoms, plan.col_measure.atoms)
+    u, v = kantorovich_potentials(cost, plan.coupling > MASS_EPS)
+    certify_potentials(
+        cost, plan.coupling, plan.row_measure.weights, plan.col_measure.weights, u, v,
+        "transport plan",
+    )
+    return u, v
+
+
 def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """Optimal transport between two discrete measures for squared cost.
 
-    For uniform inputs of equal cardinality the assignment route is used and
-    its value is cross-checked against the LP; a disagreement beyond 1e-8 is
-    a numeric failure.
+    Uniform inputs of equal cardinality take the assignment route, all others
+    the LP; either plan must pass ``certify_plan``, and its potentials come
+    back with it.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     cost = squared_distance_matrix(mu.atoms, nu.atoms)
+    sigma = None
     if mu.count == nu.count and _is_uniform(mu) and _is_uniform(nu):
         n = mu.count
         sigma = hungarian(cost)
         value = float(cost[np.arange(n), sigma].sum() / n)
-        _, lp_value = _solve_transport_lp(mu, nu, cost)
-        if abs(value - lp_value) > 1e-8 * (1.0 + abs(value)):
-            raise NumericError(
-                f"assignment and LP transport values disagree: {value} vs {lp_value}"
-            )
         coupling = np.zeros((n, n))
         coupling[np.arange(n), sigma] = 1.0 / n
-        plan = TransportPlan.from_solver(mu, nu, coupling)
-        return OtSolution(distance_squared=max(value, 0.0), plan=plan, permutation=sigma)
-    coupling, value = _solve_transport_lp(mu, nu, cost)
+    else:
+        coupling, value = _solve_transport_lp(mu, nu, cost)
     plan = TransportPlan.from_solver(mu, nu, coupling)
-    return OtSolution(distance_squared=max(value, 0.0), plan=plan)
+    return OtSolution(
+        distance_squared=max(value, 0.0), plan=plan, permutation=sigma, potentials=certify_plan(plan)
+    )
 
 
 def optimal_permutation(phi: Array, psi: Array) -> Array:

@@ -1,6 +1,7 @@
 """Shared test utilities: random frames, brute-force oracles, feasible-plan
-generators, a ``solve_lp`` wrapper that injects a residual, and power-cell
-helpers.  The oracles are independent of the solver paths they check."""
+generators, a ``solve_lp`` wrapper that injects a residual, a per-measure
+geodesic profile, and power-cell helpers.  The oracles are independent of
+the solver paths they check."""
 
 import itertools
 
@@ -8,7 +9,8 @@ import numpy as np
 
 from scipy.optimize import linear_sum_assignment
 
-from pframes.measures import DiscreteMeasure, frame_operator
+from pframes.geodesics import GeodesicProfile, geodesic_measure
+from pframes.measures import DiscreteMeasure, frame_operator, frame_report
 from pframes.optim import FEASIBILITY_TOL, LpOutcome
 
 MERCEDES_BENZ = np.array(
@@ -188,6 +190,21 @@ def with_row_residual(solve_lp, residual):
         return LpOutcome(status="feasible", solution=solution)
 
     return perturbed
+
+
+def profile_by_measures(mu0, mu1, plan, grid_size):
+    """Geodesic profile one interpolant at a time: ``geodesic_measure`` (with
+    its duplicate-atom merge) and ``frame_report`` at every grid point, a
+    reference for the closed-form profile only."""
+    ts = np.linspace(0.0, 1.0, grid_size)
+    reports = [frame_report(geodesic_measure(mu0, mu1, plan, float(t))) for t in ts]
+    return GeodesicProfile(
+        ts=ts,
+        lower_bounds=np.array([r.lower_bound for r in reports]),
+        upper_bounds=np.array([r.upper_bound for r in reports]),
+        second_moments=np.array([r.second_moment for r in reports]),
+        all_frames=all(r.is_frame for r in reports),
+    )
 
 
 def broadcast_power_scores(sites, weights, points):

@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import (
     brute_force_assignment,
+    profile_by_measures,
     random_frame_measure,
     random_orthogonal,
     random_spd,
     random_unit_norm_frame,
 )
-from pframes.duality import canonical_dual, dual_family_member
-from pframes.errors import NotAFrameError
+import pframes.geodesics
+import pframes.transport
+from pframes.duality import TransportPlan, canonical_dual, dual_family_member
+from pframes.errors import NotAFrameError, NumericError
 from pframes.geodesics import (
     coherence_identity_test,
     gaussian_optimal_map,
@@ -172,6 +177,101 @@ def test_profile_csv_export():
     assert len(lines) == 6
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0 and len(first) == 4
+
+
+def assert_matches_reference(mu0, mu1, grid_size=101):
+    profile = geodesic_profile(mu0, mu1, grid_size=grid_size)
+    reference = profile_by_measures(mu0, mu1, wasserstein2(mu0, mu1).plan, grid_size)
+    scale = 1e-12 * (1.0 + reference.upper_bounds)
+    assert np.array_equal(profile.ts, reference.ts)
+    for got, want in (
+        (profile.lower_bounds, reference.lower_bounds),
+        (profile.upper_bounds, reference.upper_bounds),
+        (profile.second_moments, reference.second_moments),
+    ):
+        assert np.all(np.abs(got - want) <= scale)
+    assert profile.all_frames == reference.all_frames
+    return profile
+
+
+def test_closed_form_profile_matches_per_measure_path_on_acceptance_fixtures():
+    # The A06 instances: 50 frames joined to their canonical duals, then the
+    # antipodal pair, whose midpoint is not a frame.
+    rng = np.random.default_rng(606)
+    for _ in range(50):
+        dim = int(rng.integers(2, 5))
+        count = dim + int(rng.integers(1, 5))
+        measure = random_frame_measure(rng, dim, count, uniform=True)
+        assert assert_matches_reference(measure, canonical_dual(measure)).all_frames
+    antipodal = assert_matches_reference(
+        DiscreteMeasure(atoms=np.eye(2), weights=[0.5, 0.5]),
+        DiscreteMeasure(atoms=-np.eye(2), weights=[0.5, 0.5]),
+    )
+    assert not antipodal.all_frames
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_form_profile_matches_per_measure_path_on_lp_plans(seed):
+    rng = np.random.default_rng(40 + seed)
+    dim = int(rng.integers(2, 4))
+    mu = random_frame_measure(rng, dim, int(rng.integers(dim + 1, 30)))
+    nu = random_frame_measure(rng, dim, int(rng.integers(dim + 1, 30)))
+    assert wasserstein2(mu, nu).permutation is None  # Dirichlet weights: the LP plan
+    assert_matches_reference(mu, nu)
+
+
+@pytest.mark.parametrize("weights", [None, [0.1, 0.2, 0.3, 0.4]])
+def test_closed_form_profile_matches_per_measure_path_when_atoms_merge(weights):
+    # Repeated atoms paired with repeated atoms travel together, so every
+    # interpolant merges them; with unequal weights the plan comes from the LP.
+    atoms = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    mu = DiscreteMeasure(atoms=atoms, weights=weights or np.full(4, 0.25))
+    nu = DiscreteMeasure(atoms=2.0 * atoms + 0.5, weights=weights or np.full(4, 0.25))
+    mid = geodesic_measure(mu, nu, wasserstein2(mu, nu).plan, 0.5)
+    assert mid.count == 3
+    assert_matches_reference(mu, nu)
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_uniform_profile_makes_one_assignment_and_no_lp(monkeypatch):
+    lp_calls = counting(monkeypatch, pframes.transport, "solve_lp")
+    assignment_calls = counting(monkeypatch, pframes.transport, "hungarian")
+    mu, nu = as_measure_pair(np.random.default_rng(22), 3, 8)
+    geodesic_profile(mu, nu)
+    assert len(lp_calls) == 0
+    assert len(assignment_calls) == 1
+
+
+def test_profile_rejects_a_swapped_plan(monkeypatch):
+    # The plan a solver hands over is certified by the profile itself.
+    rng = np.random.default_rng(23)
+    mu = random_frame_measure(rng, 2, 6, uniform=True)
+    nu = random_frame_measure(rng, 2, 6, uniform=True)
+    honest = wasserstein2
+
+    def swapped(a, b):
+        solution = honest(a, b)
+        sigma = solution.permutation.copy()
+        sigma[[0, 1]] = sigma[[1, 0]]
+        coupling = np.zeros((6, 6))
+        coupling[np.arange(6), sigma] = 1.0 / 6.0
+        plan = TransportPlan(a, b, coupling)
+        return dataclasses.replace(solution, plan=plan, permutation=sigma)
+
+    monkeypatch.setattr(pframes.geodesics, "wasserstein2", swapped)
+    with pytest.raises(NumericError, match="minimum slack .*gap"):
+        geodesic_profile(mu, nu)
 
 
 # --- segment-rank condition --------------------------------------------------

@@ -13,6 +13,7 @@ import pframes.transport
 from pframes.duality import canonical_dual
 from pframes.errors import NumericError
 from pframes.measures import DiscreteMeasure
+from pframes.optim import LpOutcome
 from pframes.transport import (
     is_cyclically_monotone,
     optimal_permutation,
@@ -136,6 +137,61 @@ def test_tiny_marginal_weights_are_met(seed):
     )
     assert reference.status == 0
     assert abs(solution.distance_squared - reference.fun) <= 1e-8
+
+
+def test_potentials_certify_the_returned_plan():
+    rng = np.random.default_rng(8)
+    # Zero-weight atoms leave a row and a column without support.
+    bare_mu = DiscreteMeasure(atoms=[[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]], weights=[0.5, 0.5, 0.0])
+    bare_nu = DiscreteMeasure(atoms=[[0.0, 1.0], [1.0, 1.0], [-4.0, 2.0]], weights=[0.3, 0.7, 0.0])
+    for mu, nu in (
+        (random_measure(rng, 3, 6, uniform=True), random_measure(rng, 3, 6, uniform=True)),
+        (random_measure(rng, 2, 5), random_measure(rng, 2, 7)),
+        (bare_mu, bare_nu),
+    ):
+        solution = wasserstein2(mu, nu)
+        u, v = solution.potentials
+        cost = squared_distance_matrix(mu.atoms, nu.atoms)
+        assert (cost - u[:, None] - v[None, :]).min() >= -1e-12
+        assert abs(mu.weights @ u + nu.weights @ v - solution.distance_squared) <= 1e-10
+
+
+def test_uniform_w2_solves_no_lp(monkeypatch):
+    calls = []
+    solve = pframes.transport.solve_lp
+    monkeypatch.setattr(pframes.transport, "solve_lp", lambda lp: calls.append(lp) or solve(lp))
+    rng = np.random.default_rng(9)
+    wasserstein2(random_measure(rng, 3, 40, uniform=True), random_measure(rng, 3, 40, uniform=True))
+    assert calls == []
+
+
+def test_swapped_assignment_is_a_numeric_error(monkeypatch):
+    assign = pframes.transport.hungarian
+
+    def swapped(cost):
+        sigma = assign(cost)
+        sigma[[0, 1]] = sigma[[1, 0]]
+        return sigma
+
+    monkeypatch.setattr(pframes.transport, "hungarian", swapped)
+    rng = np.random.default_rng(10)
+    mu, nu = random_measure(rng, 2, 6, uniform=True), random_measure(rng, 2, 6, uniform=True)
+    with pytest.raises(NumericError, match="minimum slack .*gap"):
+        wasserstein2(mu, nu)
+
+
+def test_product_coupling_from_the_lp_is_a_numeric_error(monkeypatch):
+    # The independent coupling meets both marginals, so only the optimality
+    # certificate can reject it.
+    rng = np.random.default_rng(11)
+    mu, nu = random_measure(rng, 2, 4), random_measure(rng, 2, 5)
+
+    def product(lp):
+        return LpOutcome(status="feasible", solution=np.outer(mu.weights, nu.weights).ravel())
+
+    monkeypatch.setattr(pframes.transport, "solve_lp", product)
+    with pytest.raises(NumericError, match="minimum slack .*gap"):
+        wasserstein2(mu, nu)
 
 
 def test_dimension_mismatch():
