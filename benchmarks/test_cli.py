@@ -1,0 +1,64 @@
+"""End-to-end timing of CLI start-up and commands on pytest-benchmark.
+
+Run from the repository root (tier-1 collects only ``tests/``):
+
+    PYTHONPATH=src python -m pytest benchmarks/test_cli.py --benchmark-json=out.json
+
+Every round is a fresh interpreter, so the times include interpreter start
+and imports: ``python -c "import pframes.cli"``, then ``python -m
+pframes.cli`` on ``frame-report`` (a 3-atom 2-d frame), ``transport-dual``
+(that frame and its canonical dual, one LP) and ``semidiscrete-adapt`` (3
+sites on a 2-d Gaussian, 20k samples), on fixture files in ``tmp_path``.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ANGLES = [math.pi / 2 + 2 * math.pi * k / 3 for k in range(3)]
+FRAME = {"dim": 2, "atoms": [[math.cos(a), math.sin(a)] for a in ANGLES], "weights": [1 / 3] * 3}
+# The frame operator of FRAME is I / 2, so its canonical dual doubles every atom.
+DUAL = {**FRAME, "atoms": [[2 * x for x in atom] for atom in FRAME["atoms"]]}
+SITES = {
+    "sites": [[1.0, 0.0], [-0.3, 1.0], [-0.7, -1.0]],
+    "targets": [0.4, 0.35, 0.25],
+    "reference": {"type": "gaussian", "dim": 2},
+}
+
+
+def python(*args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import(benchmark, tmp_path):
+    benchmark.pedantic(python, ("-c", "import pframes.cli"), {"cwd": tmp_path}, rounds=10)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["frame-report", "frame.json"],
+        ["transport-dual", "frame.json", "dual.json"],
+        ["semidiscrete-adapt", "sites.json", "--samples", "20000", "--seed", "1"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_command(benchmark, tmp_path, command):
+    for name, payload in {"frame.json": FRAME, "dual.json": DUAL, "sites.json": SITES}.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    out = benchmark.pedantic(
+        python, ("-m", "pframes.cli", *command), {"cwd": tmp_path}, rounds=10
+    )
+    assert json.loads(out)["config"]["command"] == command[0]

@@ -26,6 +26,13 @@ cost is at most ``tol / n``, ``tol = 1e-9 (1 + |best|)``; every such
 permutation costs at most ``best + tol``, which is re-checked.  Rows are
 fixed one at a time with ``maximum_bipartite_matching`` (Hopcroft-Karp)
 deciding whether the rows below still match.
+
+scipy's solvers are imported inside the functions that call them, on first
+use, so that importing the package (and every CLI command that solves no LP
+or assignment) does not pay for loading ``scipy.optimize``.
+``linear_sum_assignment`` stays a module-level name, a shim that ``hungarian``
+calls through the module global, so the assignment solve can still be
+replaced or counted by patching this module's attribute.
 """
 
 from __future__ import annotations
@@ -33,9 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, linprog, milp
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import NumericError
 from .linalg import as_matrix
@@ -54,6 +58,7 @@ ROUNDOFF_RTOL = 1e-14
 OPTIMALITY_RTOL = 1e-8
 # HiGHS counts bound and row violations up to its primal feasibility
 # tolerance (1e-7 by default) as feasible; this is the tightest it accepts.
+# A returned LP entry above -HIGHS_TIGHT_TOL is round-off and reads as zero.
 HIGHS_TIGHT_TOL = 1e-10
 
 
@@ -82,6 +87,8 @@ def _farkas_certificate(kmat: Array, rhs: Array) -> Array:
     The elastic dual is ``max t^T z  s.t.  K^T z <= 0, |z| <= 1``; a positive
     optimum means ``y = -z`` separates ``t`` from the cone ``K a, a >= 0``.
     """
+    from scipy.optimize import linprog
+
     m, n = kmat.shape
     res = linprog(
         np.concatenate([np.zeros(n), np.ones(2 * m)]),
@@ -107,6 +114,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     either a nonnegative solution with residual below the feasibility
     tolerance, or a certificate vector proving no such solution exists.
     """
+    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
     kmat = as_matrix(lp.constraint_matrix, "constraint matrix")
     rhs = np.asarray(lp.rhs, dtype=float)
     m, n = kmat.shape
@@ -159,8 +168,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
             raise NumericError(f"LP solver failed at tight tolerance: {res.message}")
         solution = np.array(res.x, dtype=float)
 
-    solution[(solution < 0.0) & (solution > -1e-10)] = 0.0
-    if solution.min() < -1e-10:
+    solution[(solution < 0.0) & (solution > -HIGHS_TIGHT_TOL)] = 0.0
+    if solution.min() < -HIGHS_TIGHT_TOL:
         raise NumericError("LP solution has a negative entry")
     residual = float(np.abs(kmat @ solution - rhs).max())
     if residual > FEASIBILITY_TOL * rhs_scale:
@@ -223,6 +232,13 @@ def certify_potentials(
         )
 
 
+def linear_sum_assignment(cost: Array) -> tuple[Array, Array]:
+    """scipy's ``linear_sum_assignment``, imported on first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
 def hungarian(cost) -> Array:
     """Minimum-cost assignment for a square cost matrix.
 
@@ -239,6 +255,9 @@ def hungarian(cost) -> Array:
     at most ``best + tol``, and every optimal one is on tight edges (up to
     round-off); the total is re-checked against ``best + tol``.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     c = as_matrix(cost, "cost")
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")

@@ -26,7 +26,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericError
 from .measures import WEIGHT_SUM_TOL
@@ -262,6 +261,19 @@ class _MassFit:
         return (best, second, gap, *self._record(w, best))
 
 
+def _is_connected(adjacency: Array) -> bool:
+    """Whether the undirected graph of a symmetric boolean adjacency matrix
+    is connected: breadth-first search from vertex 0, one frontier of
+    boolean rows at a time (the empty graph counts as connected)."""
+    reached = np.zeros(adjacency.shape[0], dtype=bool)
+    reached[:1] = True
+    frontier = reached
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    return bool(reached.all())
+
+
 def _newton_direction(best: Array, second: Array, gap: Array, residual: Array) -> Array | None:
     """Solve ``L d = residual`` in the gauge ``d[0] = 0``, or ``None``.
 
@@ -271,8 +283,10 @@ def _newton_direction(best: Array, second: Array, gap: Array, residual: Array) -
     the samples within a band ``h`` of the ``p``/``q`` boundary, divided by
     ``h``, estimate ``-dmass_p/dw(q)``; both sides of each boundary count.
     ``h`` is the gap below which the ``BOUNDARY_SHARE`` of samples lie.
-    ``None`` when ``L`` is non-finite or singular (a disconnected boundary
-    graph), since no Newton step is defined there.
+    ``None`` when ``L`` is non-finite or singular, since no Newton step is
+    defined there.  A Laplacian is singular in the gauge exactly when its
+    graph, the cells joined by a boundary with samples in the band, is
+    disconnected; ``_is_connected`` decides that by breadth-first search.
     """
     n = residual.shape[0]
     width = float(np.quantile(gap, BOUNDARY_SHARE))
@@ -280,7 +294,7 @@ def _newton_direction(best: Array, second: Array, gap: Array, residual: Array) -
     counts = np.bincount(best[band] * n + second[band], minlength=n * n).reshape(n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = (counts + counts.T) / (2.0 * width * gap.shape[0])
-    if not np.all(np.isfinite(rate)) or connected_components(rate > 0.0, directed=False)[0] > 1:
+    if not np.all(np.isfinite(rate)) or not _is_connected(rate > 0.0):
         return None
     laplacian = np.diag(rate.sum(axis=1)) - rate
     step = np.zeros(n)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from pframes import canonical_dual
 from pframes.cli import main
 from pframes.duality import plan_arrays_from_payload
 from pframes.measures import measure_from_payload, measure_to_payload
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_json(path, payload):
@@ -300,3 +306,54 @@ def test_floats_serialized_with_full_precision(tmp_path, capsys):
     code, out, _ = run(capsys, ["frame-report", src])
     assert code == 0
     assert json.loads(out)["upper"] == value**2
+
+
+def run_child(code, *args):
+    """Run ``code`` in a fresh interpreter with ``src`` on its path; return
+    the JSON its last stdout line holds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+LOADED_SCIPY = (
+    "import json, sys; "
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+)
+
+
+@pytest.mark.parametrize("module", ["pframes", "pframes.cli"])
+def test_import_loads_no_scipy(module):
+    # The solvers import scipy on first use; a top-level scipy import
+    # anywhere in the package would show up here.
+    assert run_child(f"import {module}; {LOADED_SCIPY}") == []
+
+
+def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
+    m = write_json(tmp_path / "m.json", basis_measure_payload())
+    g0 = write_json(tmp_path / "g0.json", {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]})
+    g1 = write_json(tmp_path / "g1.json", {"mean": [0.0, 0.0], "cov": [[4.0, 0.0], [0.0, 1.0]]})
+    sites = write_json(tmp_path / "sites.json", sites_payload())
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    commands = [
+        ["frame-report", m],
+        ["canonical-dual", m, "--out", str(tmp_path / "dual.json")],
+        ["gaussian-w2", g0, g1],
+        ["gaussian-path", g0, g1, "--grid", "3"],
+        ["semidiscrete-adapt", sites, "--samples", "2000", "--seed", "1"],
+        ["frame-report", str(bad)],
+    ]
+    code = (
+        "import json, sys; from pframes.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.optimize', 'scipy.sparse')))]))"
+    )
+    codes, loaded = run_child(code, json.dumps(commands))
+    assert codes == [0, 0, 0, 0, 0, 2]
+    assert loaded == []

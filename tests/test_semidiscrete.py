@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import broadcast_power_scores, spread_sites
 from pframes import semidiscrete
@@ -153,6 +155,35 @@ def test_ascent_takes_over_when_newton_rejects_its_first_step(monkeypatch):
     assert len(starts) == 1
     assert np.all(starts[0][0] == 0.0) and starts[0][1] == 1 + trials
     assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
+
+
+def two_cliques(n, split):
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[:split, :split] = True
+    adjacency[split:, split:] = True
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
+@st.composite
+def symmetric_graphs(draw):
+    n = draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 0.3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    return upper | upper.T
+
+
+@given(symmetric_graphs())
+@example(two_cliques(7, 6))  # vertex 6 isolated
+@example(two_cliques(12, 5))  # two components
+@example(np.ones((9, 9), dtype=bool))  # complete graph
+@example(np.zeros((1, 1), dtype=bool))  # one vertex
+def test_connectivity_check_agrees_with_scipy(adjacency):
+    from scipy.sparse.csgraph import connected_components
+
+    expected = connected_components(adjacency, directed=False)[0] == 1
+    assert semidiscrete._is_connected(adjacency) == expected
 
 
 def test_single_site_is_trivial():
