@@ -4,9 +4,10 @@ Run from the repository root (tier-1 collects only ``tests/``):
 
     PYTHONPATH=src python -m pytest benchmarks/test_assignment.py --benchmark-json=out.json
 
-Sizes follow the ``transport`` workload: n = 50 and 150, on random normal
-costs (no ties) and on squared distances between integer-grid atoms in
-{0..3}^2 (16 distinct points, so most costs tie).
+Sizes follow the ``transport`` workload: n = 50, 100 and 150, on random
+normal costs (no ties), on squared distances between integer-grid atoms in
+{0..3}^2 (16 distinct points, so most costs tie), and on the negated gains
+``-<x_i, y_j>`` of the same atoms that ``is_cyclically_monotone`` minimizes.
 """
 
 import numpy as np
@@ -20,12 +21,16 @@ def assignment_cost(kind, n):
     if kind == "random":
         return rng.normal(size=(n, n))
     xs, ys = (rng.integers(0, 4, size=(n, 2)).astype(float) for _ in range(2))
+    if kind == "gains":
+        return -(xs @ ys.T)
     diff = xs[:, None, :] - ys[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-@pytest.mark.parametrize("n", [50, 150])
-@pytest.mark.parametrize("kind", ["random", "grid"])
+@pytest.mark.parametrize(
+    "kind, n",
+    [("random", 50), ("random", 150), ("grid", 50), ("grid", 100), ("grid", 150), ("gains", 150)],
+)
 def test_hungarian(benchmark, kind, n):
     cost = assignment_cost(kind, n)
     perm = benchmark(hungarian, cost)

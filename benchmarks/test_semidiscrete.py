@@ -6,13 +6,15 @@ Run from the repository root (tier-1 collects only ``tests/``):
 
 ``adapt_weights`` fits 8 and 32 sites, spread over the unit square by
 farthest-point sampling, to Dirichlet targets at 200k samples;
-``assign_cells`` labels 200k points of the unit cube with 16 sites.
+``assign_cells`` labels 200k points of the unit cube with 16 sites;
+``reconstruct`` runs analysis and synthesis over 100k samples of a 16-site
+coupling on the unit square.
 """
 
 import numpy as np
 import pytest
 
-from pframes.semidiscrete import BoxReference, adapt_weights, assign_cells
+from pframes.semidiscrete import BoxReference, adapt_weights, assign_cells, reconstruct
 
 
 def spread_sites(rng, reference, count):
@@ -42,3 +44,12 @@ def test_assign_cells(benchmark):
     points = rng.uniform(size=(200_000, 3))
     cells = benchmark(assign_cells, sites, weights, points)
     assert cells.shape == (200_000,)
+
+
+def test_reconstruct(benchmark):
+    rng = np.random.default_rng(100)
+    box = BoxReference(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    coupling = adapt_weights(spread_sites(rng, box, 16), np.full(16, 1.0 / 16), box, 100_000, seed=3)
+    x = np.array([0.6, -0.8])
+    out = benchmark(reconstruct, x, coupling, coupling)
+    assert out.shape == (2,)

@@ -22,17 +22,14 @@ dual feasibility and a zero primal-dual gap, both to ``OPTIMALITY_RTOL``.
 ``hungarian`` makes one ``linear_sum_assignment`` solve (Crouse, IEEE TAES
 2016), takes potentials for its permutation from the same routine, and
 returns the lexicographically smallest permutation on edges whose reduced
-cost is at most ``tol / n``, ``tol = 1e-9 (1 + |best|)``; every such
-permutation costs at most ``best + tol``, which is re-checked.  Rows are
-fixed one at a time with ``maximum_bipartite_matching`` (Hopcroft-Karp)
-deciding whether the rows below still match.
+cost is at most ``tol / n`` (``tol = 1e-9 (1 + |best|)``); it fixes rows in
+order, rerouting the rows below along one alternating path of such edges.
 
-scipy's solvers are imported inside the functions that call them, on first
-use, so that importing the package (and every CLI command that solves no LP
-or assignment) does not pay for loading ``scipy.optimize``.
-``linear_sum_assignment`` stays a module-level name, a shim that ``hungarian``
-calls through the module global, so the assignment solve can still be
-replaced or counted by patching this module's attribute.
+scipy's solvers are imported on first use, inside the functions that call
+them, so importing the package (and every CLI command that solves no LP or
+assignment) does not load ``scipy.optimize``.  ``linear_sum_assignment`` is a
+module-level shim that ``hungarian`` calls through the module global, so
+patching this module's attribute still replaces or counts the solve.
 """
 
 from __future__ import annotations
@@ -246,18 +243,15 @@ def hungarian(cost) -> Array:
     minimizing ``sum_i cost[i, sigma[i]]``; ties resolve deterministically.
 
     One ``linear_sum_assignment`` solve gives an optimal permutation; its
-    Kantorovich potentials ``(u, v)`` (``kantorovich_potentials`` on the
-    permutation's support) mark an edge tight when ``c_ij - u_i - v_j <= tol
-    / n`` with ``tol = 1e-9 (1 + |best|)``.  The result is the
-    lexicographically smallest permutation on tight edges: row by row, the
-    smallest free tight column that still leaves a perfect tight matching of
-    the rows below.  Every such permutation costs
-    at most ``best + tol``, and every optimal one is on tight edges (up to
-    round-off); the total is re-checked against ``best + tol``.
+    Kantorovich potentials ``(u, v)`` mark an edge tight when ``c_ij - u_i -
+    v_j <= tol / n``, ``tol = 1e-9 (1 + |best|)``.  Every optimal permutation
+    is on tight edges (up to round-off), and the lexicographically smallest
+    one on tight edges, returned here, costs at most ``best + tol``
+    (re-checked).  Row ``i`` moves from its column ``t`` to the smallest
+    tight ``j < t`` whose row below ``i`` reaches ``t`` by an alternating
+    path through the rows below (Berge: exactly then they still match),
+    found by breadth-first search backwards from ``t``.
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     c = as_matrix(cost, "cost")
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
@@ -265,25 +259,31 @@ def hungarian(cost) -> Array:
     rows, perm = linear_sum_assignment(c)
     best = float(c[rows, perm].sum())
     tol = 1e-9 * (1.0 + abs(best))
-    support = np.zeros((n, n), dtype=bool)
-    support[rows, perm] = True
-    u, v = kantorovich_potentials(c, support)
+    u, v = kantorovich_potentials(c, np.eye(n, dtype=bool)[perm])
     tight = c - u[:, None] - v[None, :] <= tol / n
 
-    free = np.ones(n, dtype=bool)
+    owner = np.argsort(perm)
     for i in range(n - 1):
-        for j in np.flatnonzero(tight[i, : perm[i]] & free[: perm[i]]):
-            rest = free.copy()
-            rest[j] = False
-            cols = np.flatnonzero(rest)
-            match = maximum_bipartite_matching(
-                csr_array(tight[i + 1 :][:, cols]), perm_type="column"
-            )
-            if (match >= 0).all():
-                perm[i] = j
-                perm[i + 1 :] = cols[match]
-                break
-        free[perm[i]] = False
+        t = perm[i]
+        cand = np.flatnonzero(tight[i, :t] & (owner[:t] > i))
+        if cand.size == 0:
+            continue
+        via = np.full(n, -1)
+        reached = np.arange(n) <= i
+        frontier = np.array([t])
+        while frontier.size and not reached[owner[cand[0]]]:
+            hits = tight[:, frontier] & ~reached[:, None]
+            joined = np.flatnonzero(hits.any(axis=1))
+            via[joined] = frontier[hits[joined].argmax(axis=1)]
+            reached[joined] = True
+            frontier = perm[joined]
+        ok = cand[reached[owner[cand]]]
+        if ok.size == 0:
+            continue
+        j = ok[0]
+        r, perm[i], owner[j] = owner[j], j, i
+        while r != i:
+            perm[r], owner[via[r]], r = via[r], r, owner[via[r]]
     if float(c[rows, perm].sum()) > best + tol:
         raise NumericError("lexicographic assignment left the optimal cost")
     return perm

@@ -466,7 +466,7 @@ def analysis(x, coupling: SemiDiscreteCoupling) -> FunctionSamples:
     vec = np.asarray(x, dtype=float)
     if vec.shape != (coupling.site_map.shape[1],):
         raise ValueError(f"x must be a vector of dimension {coupling.site_map.shape[1]}")
-    values = coupling.site_map[coupling.sample_cells] @ vec
+    values = (coupling.site_map @ vec)[coupling.sample_cells]
     return FunctionSamples(values=values, samples=coupling.samples)
 
 
@@ -475,7 +475,10 @@ def synthesis(f: FunctionSamples, coupling: SemiDiscreteCoupling) -> Array:
     if f.values.shape != (coupling.sample_count,):
         raise ValueError("function samples do not match the coupling's sample count")
     _require_same_samples(f, coupling)
-    return (f.values[:, None] * coupling.site_map[coupling.sample_cells]).mean(axis=0)
+    per_cell = np.bincount(
+        coupling.sample_cells, weights=f.values, minlength=coupling.site_map.shape[0]
+    )
+    return per_cell @ coupling.site_map / coupling.sample_count
 
 
 def reconstruct(

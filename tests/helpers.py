@@ -222,3 +222,15 @@ def spread_sites(rng, reference, count):
         chosen.append(int(np.argmax(gap)))
         gap = np.minimum(gap, ((pool - pool[chosen[-1]]) ** 2).sum(axis=1))
     return pool[chosen]
+
+
+def gathered_analysis(x, coupling):
+    """``analysis`` values by gathering one table row per sample: an ``(S, k)``
+    temporary, a reference for the library's per-cell form only."""
+    return coupling.site_map[coupling.sample_cells] @ np.asarray(x, dtype=float)
+
+
+def gathered_synthesis(values, coupling):
+    """``synthesis`` as the mean of ``values`` times each sample's gathered
+    table row, a reference for the library's per-cell form only."""
+    return (values[:, None] * coupling.site_map[coupling.sample_cells]).mean(axis=0)

@@ -357,3 +357,19 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
     codes, loaded = run_child(code, json.dumps(commands))
     assert codes == [0, 0, 0, 0, 0, 2]
     assert loaded == []
+
+
+def test_assignments_load_no_sparse_graph_solver():
+    # The tie-break searches the dense tight matrix; no scipy.sparse graph
+    # routine is needed for a tie-heavy grid assignment.
+    code = (
+        "import json, sys; import numpy as np; "
+        "from pframes.transport import is_cyclically_monotone, optimal_permutation; "
+        "rng = np.random.default_rng(3); "
+        "xs, ys = (rng.integers(0, 4, size=(60, 2)).astype(float) for _ in range(2)); "
+        "sigma = optimal_permutation(xs, ys); "
+        "monotone, _ = is_cyclically_monotone(zip(xs, ys[sigma])); "
+        "print(json.dumps([bool(monotone), sorted(m for m in sys.modules "
+        "if m.startswith('scipy.sparse.csgraph'))]))"
+    )
+    assert run_child(code) == [True, []]

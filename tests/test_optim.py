@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pframes.optim
@@ -216,3 +216,32 @@ def test_hungarian_solves_one_assignment(monkeypatch, kind):
         cost = np.zeros((150, 150))
     hungarian(cost)
     assert calls == [(150, 150)]
+
+
+@st.composite
+def tie_heavy_larger_costs(draw):
+    n = draw(st.integers(7, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0, -1.0]))
+        return scale * rng.integers(0, 3, size=(n, n)).astype(float)
+    return squared_distance_matrix(grid_points(rng, n), grid_points(rng, n))
+
+
+@settings(max_examples=60)
+@given(tie_heavy_larger_costs())
+def test_hungarian_matches_refinement_on_tie_heavy_costs(cost):
+    assert np.array_equal(hungarian(cost), refined_assignment(cost))
+
+
+def test_hungarian_reroutes_along_a_long_alternating_path(monkeypatch):
+    # Zero-cost edges form one cycle: the identity and the cyclic shift are
+    # the only optimal permutations.  Starting from the shift, row 0 takes
+    # column 0 only if rows 4, 3, 2 and 1 all move back one column.
+    n = 5
+    cost = np.ones((n, n))
+    shift = np.roll(np.arange(n), -1)
+    cost[np.arange(n), np.arange(n)] = 0.0
+    cost[np.arange(n), shift] = 0.0
+    monkeypatch.setattr(pframes.optim, "linear_sum_assignment", lambda c: (np.arange(n), shift.copy()))
+    assert np.array_equal(hungarian(cost), np.arange(n))

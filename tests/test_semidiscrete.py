@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,11 +7,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import broadcast_power_scores, spread_sites
+from helpers import (
+    broadcast_power_scores,
+    gathered_analysis,
+    gathered_synthesis,
+    spread_sites,
+)
 from pframes import semidiscrete
 from pframes.errors import NumericError
 from pframes.semidiscrete import (
     BoxReference,
+    FunctionSamples,
     GaussianReference,
     PowerDiagram,
     adapt_weights,
@@ -337,6 +344,28 @@ def test_single_cell_constant_coefficient():
     f = analysis(np.array([2.0, 1.0]), coupling)
     expected = 2.0 * 0.4 + 1.0 * (-0.2)
     assert np.allclose(f.values, expected)
+
+
+@pytest.mark.parametrize("empty_cell", [False, True])
+def test_per_cell_analysis_and_synthesis_match_gathered_tables(empty_cell):
+    coupling = small_coupling(seed=21, count=30_000)
+    rng = np.random.default_rng(22)
+    if empty_cell:
+        # Cell 2 holds no samples: its table row must not contribute.
+        cells = np.where(coupling.sample_cells == 2, 0, coupling.sample_cells)
+        coupling = dataclasses.replace(coupling, sample_cells=cells)
+    tagged = with_site_map(coupling, rng.normal(size=(3, 4)) * [1.0, 10.0, 1e-3, 1e4])
+    for _ in range(3):
+        x = rng.normal(size=4) * 100.0
+        values = analysis(x, tagged).values
+        expected = gathered_analysis(x, tagged)
+        assert np.abs(values - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+        # Arbitrary coefficients, not only those analysis produces.
+        f = FunctionSamples(values=rng.normal(size=coupling.sample_count) * 1e3,
+                            samples=tagged.samples)
+        out = synthesis(f, tagged)
+        expected = gathered_synthesis(f.values, tagged)
+        assert np.abs(out - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
 
 
 def test_synthesis_zero_function():
