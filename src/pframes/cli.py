@@ -2,9 +2,14 @@
 
 Subcommands: frame-report, canonical-dual, transport-dual, wasserstein,
 monotone, geodesic-profile, gaussian-w2, gaussian-path, semidiscrete-adapt,
-reconstruct.  Outputs are JSON (floats printed with 17 significant digits so
-they round-trip exactly) or CSV for profiles; every run is reproducible from
-its inputs plus the seed, and each JSON output echoes the run configuration.
+reconstruct.  Each ``cmd_*`` function maps the parsed arguments to its
+result and writes nothing: a payload dict for the JSON commands, CSV text
+for the two profile commands.  ``main`` is the one place that writes.  It
+appends the run configuration to a payload as its last key, ``"config"``
+(the command, its input paths and, for the two sampling commands, the
+sample count, seed and tolerance), prints the floats with 17 significant
+digits so they round-trip exactly, and sends the text to stdout or
+``--out``.  Every run is reproducible from its inputs plus the seed.
 Exit codes: 0 ok, 2 input error, 3 numeric error.
 """
 
@@ -49,26 +54,17 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(_fmt(payload) + "\n", out_path)
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _load_discrete(path: str) -> measures.DiscreteMeasure:
+def _load(path: str, kind: type = measures.DiscreteMeasure):
+    """The measure stored at ``path``, which must be of type ``kind``."""
     m = measures.measure_from_payload(_load_json(path))
-    if not isinstance(m, measures.DiscreteMeasure):
-        raise ValueError(f"{path}: expected a discrete measure")
-    return m
-
-
-def _load_gaussian(path: str) -> measures.GaussianMeasure:
-    m = measures.measure_from_payload(_load_json(path))
-    if not isinstance(m, measures.GaussianMeasure):
-        raise ValueError(f"{path}: expected a gaussian measure")
+    if not isinstance(m, kind):
+        name = "gaussian" if kind is measures.GaussianMeasure else "discrete"
+        raise ValueError(f"{path}: expected a {name} measure")
     return m
 
 
@@ -83,55 +79,56 @@ def _reference_from_payload(payload) -> semidiscrete.Reference:
     raise ValueError(f"unknown reference type '{kind}' (expected 'gaussian' or 'box')")
 
 
-def cmd_frame_report(args) -> None:
+def _adapt(args, path: str):
+    """The sites spec at ``path`` and the coupling adapted to its targets."""
+    spec = _load_json(path)
+    if not isinstance(spec, dict):
+        raise ValueError("sites file must be a JSON object")
+    for key in ("sites", "targets", "reference"):
+        if key not in spec:
+            raise ValueError(f"sites file missing '{key}'")
+    coupling = semidiscrete.adapt_weights(
+        spec["sites"],
+        spec["targets"],
+        _reference_from_payload(spec["reference"]),
+        sample_count=args.samples,
+        seed=args.seed,
+        adapt_tol=args.tol,
+    )
+    return spec, coupling
+
+
+def cmd_frame_report(args) -> dict:
     report = measures.frame_report(measures.load_measure(args.measure))
-    _emit_json(
-        {
-            "lower": report.lower_bound,
-            "upper": report.upper_bound,
-            "second_moment": report.second_moment,
-            "is_frame": report.is_frame,
-            "config": {"command": "frame-report", "inputs": [args.measure]},
-        },
-        args.out,
-    )
+    return {
+        "lower": report.lower_bound,
+        "upper": report.upper_bound,
+        "second_moment": report.second_moment,
+        "is_frame": report.is_frame,
+    }
 
 
-def cmd_canonical_dual(args) -> None:
-    dual = duality.canonical_dual(_load_discrete(args.measure))
-    payload = measures.measure_to_payload(dual)
-    payload["config"] = {"command": "canonical-dual", "inputs": [args.measure]}
-    _emit_json(payload, args.out)
+def cmd_canonical_dual(args) -> dict:
+    return measures.measure_to_payload(duality.canonical_dual(_load(args.measure)))
 
 
-def cmd_transport_dual(args) -> None:
-    result = duality.find_transport_dual(_load_discrete(args.mu), _load_discrete(args.nu))
-    config = {"command": "transport-dual", "inputs": [args.mu, args.nu]}
+def cmd_transport_dual(args) -> dict:
+    result = duality.find_transport_dual(_load(args.mu), _load(args.nu))
     if isinstance(result, duality.TransportPlan):
-        payload = {"status": "dual", **duality.plan_to_payload(result), "config": config}
-    else:
-        payload = {
-            "status": "not-dual",
-            "certificate": duality.certificate_to_payload(result),
-            "config": config,
-        }
-    _emit_json(payload, args.out)
+        return {"status": "dual", **duality.plan_to_payload(result)}
+    return {"status": "not-dual", "certificate": duality.certificate_to_payload(result)}
 
 
-def cmd_wasserstein(args) -> None:
-    solution = transport.wasserstein2(_load_discrete(args.mu), _load_discrete(args.nu))
-    _emit_json(
-        {
-            "w2_squared": solution.distance_squared,
-            **duality.plan_to_payload(solution.plan),
-            "permutation": None if solution.permutation is None else solution.permutation.tolist(),
-            "config": {"command": "wasserstein", "inputs": [args.mu, args.nu]},
-        },
-        args.out,
-    )
+def cmd_wasserstein(args) -> dict:
+    solution = transport.wasserstein2(_load(args.mu), _load(args.nu))
+    return {
+        "w2_squared": solution.distance_squared,
+        **duality.plan_to_payload(solution.plan),
+        "permutation": solution.permutation,
+    }
 
 
-def cmd_monotone(args) -> None:
+def cmd_monotone(args) -> dict:
     payload = _load_json(args.pairs)
     if not isinstance(payload, dict) or "xs" not in payload or "ys" not in payload:
         raise ValueError("pairs file must contain 'xs' and 'ys' arrays")
@@ -140,115 +137,44 @@ def cmd_monotone(args) -> None:
     if xs.shape != ys.shape or xs.ndim != 2:
         raise ValueError("'xs' and 'ys' must be equal-shape lists of vectors")
     monotone, witness = transport.is_cyclically_monotone(list(zip(xs, ys)))
-    _emit_json(
-        {
-            "cyclically_monotone": monotone,
-            "witness": None if witness is None else witness.tolist(),
-            "config": {"command": "monotone", "inputs": [args.pairs]},
-        },
-        args.out,
-    )
+    return {"cyclically_monotone": monotone, "witness": witness}
 
 
-def cmd_geodesic_profile(args) -> None:
-    profile = geodesics.geodesic_profile(
-        _load_discrete(args.mu), _load_discrete(args.nu), grid_size=args.grid
-    )
-    _emit(geodesics.profile_csv_text(profile), args.out)
+def cmd_geodesic_profile(args) -> str:
+    profile = geodesics.geodesic_profile(_load(args.mu), _load(args.nu), grid_size=args.grid)
+    return geodesics.profile_csv_text(profile)
 
 
-def cmd_gaussian_w2(args) -> None:
-    value = geodesics.gaussian_w2(_load_gaussian(args.g0), _load_gaussian(args.g1))
-    _emit_json(
-        {
-            "w2_squared": value,
-            "config": {"command": "gaussian-w2", "inputs": [args.g0, args.g1]},
-        },
-        args.out,
-    )
+def cmd_gaussian_w2(args) -> dict:
+    g0, g1 = (_load(p, measures.GaussianMeasure) for p in (args.g0, args.g1))
+    return {"w2_squared": geodesics.gaussian_w2(g0, g1)}
 
 
-def cmd_gaussian_path(args) -> None:
-    path = geodesics.gaussian_path(
-        _load_gaussian(args.g0), _load_gaussian(args.g1), grid_size=args.grid
-    )
-    _emit(geodesics.profile_csv_text(path), args.out)
+def cmd_gaussian_path(args) -> str:
+    g0, g1 = (_load(p, measures.GaussianMeasure) for p in (args.g0, args.g1))
+    return geodesics.profile_csv_text(geodesics.gaussian_path(g0, g1, grid_size=args.grid))
 
 
-def _load_sites_spec(path: str):
-    payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise ValueError("sites file must be a JSON object")
-    for key in ("sites", "targets", "reference"):
-        if key not in payload:
-            raise ValueError(f"sites file missing '{key}'")
-    return payload
+def cmd_semidiscrete_adapt(args) -> dict:
+    return semidiscrete.coupling_to_payload(_adapt(args, args.sites)[1])
 
 
-def cmd_semidiscrete_adapt(args) -> None:
-    payload = _load_sites_spec(args.sites)
-    coupling = semidiscrete.adapt_weights(
-        payload["sites"],
-        payload["targets"],
-        _reference_from_payload(payload["reference"]),
-        sample_count=args.samples,
-        seed=args.seed,
-        adapt_tol=args.tol,
-    )
-    out = semidiscrete.coupling_to_payload(coupling)
-    out["config"] = {
-        "command": "semidiscrete-adapt",
-        "inputs": [args.sites],
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    _emit_json(out, args.out)
-
-
-def cmd_reconstruct(args) -> None:
-    payload = _load_sites_spec(args.spec)
-    coupling = semidiscrete.adapt_weights(
-        payload["sites"],
-        payload["targets"],
-        _reference_from_payload(payload["reference"]),
-        sample_count=args.samples,
-        seed=args.seed,
-        adapt_tol=args.tol,
-    )
-    frame = np.asarray(payload.get("frame", payload["sites"]), dtype=float)
-    targets = coupling.target_weights
-    if "dual" in payload:
-        dual = np.asarray(payload["dual"], dtype=float)
+def cmd_reconstruct(args) -> dict:
+    spec, coupling = _adapt(args, args.spec)
+    frame = np.asarray(spec.get("frame", spec["sites"]), dtype=float)
+    if "dual" in spec:
+        dual = np.asarray(spec["dual"], dtype=float)
     else:
-        weighted = frame.T @ (targets[:, None] * frame)
-        dual = np.linalg.solve(weighted, frame.T).T
+        measure = measures.DiscreteMeasure(frame, coupling.target_weights)
+        dual = duality.canonical_dual(measure).atoms
     analysis_side = semidiscrete.with_site_map(coupling, frame)
     synthesis_side = semidiscrete.with_site_map(coupling, dual)
-    if "xs" in payload:
-        xs = np.asarray(payload["xs"], dtype=float)
-    else:
-        xs = np.eye(frame.shape[1])
-    recons, errors = [], []
-    for x in xs:
-        rec = semidiscrete.reconstruct(x, analysis_side, synthesis_side)
-        recons.append(rec.tolist())
-        errors.append(float(np.linalg.norm(rec - x)))
-    _emit_json(
-        {
-            "reconstructions": recons,
-            "errors": errors,
-            "max_error": max(errors),
-            "config": {
-                "command": "reconstruct",
-                "inputs": [args.spec],
-                "samples": args.samples,
-                "seed": args.seed,
-                "tol": args.tol,
-            },
-        },
-        args.out,
-    )
+    xs = np.asarray(spec["xs"], dtype=float) if "xs" in spec else np.eye(frame.shape[1])
+    if xs.size == 0:
+        raise ValueError("'xs' must hold at least one vector")
+    recons = [semidiscrete.reconstruct(x, analysis_side, synthesis_side) for x in xs]
+    errors = [float(np.linalg.norm(rec - x)) for rec, x in zip(recons, xs)]
+    return {"reconstructions": recons, "errors": errors, "max_error": max(errors)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, default=semidiscrete.DEFAULT_SAMPLES)
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--tol", type=float, default=semidiscrete.ADAPT_TOL)
-        p.set_defaults(fn=fn)
+        # Not options: what main echoes in the config of a JSON result.
+        p.set_defaults(fn=fn, positionals=positionals, sampling=sampling)
         return p
 
     add("frame-report", cmd_frame_report, "measure")
@@ -284,6 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args) -> dict:
+    config = {"command": args.command, "inputs": [getattr(args, p) for p in args.positionals]}
+    if args.sampling:
+        config.update(samples=args.samples, seed=args.seed, tol=args.tol)
+    return config
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -291,7 +225,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.fn(args)
+        result = args.fn(args)
+        if isinstance(result, dict):
+            result = _fmt({**result, "config": _config(args)}) + "\n"
+        _emit(result, args.out)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -101,6 +101,19 @@ def _certified_half(atoms, weights, fixed, ends, owners, mass) -> float:
     return float((coupling * cost).sum())
 
 
+def _quadratic_path(ts: Array, a: Array, b: Array, c: Array) -> tuple[Array, Array]:
+    """Ascending eigenvalues and traces of ``S(t) = (1-t)^2 a + t(1-t) (b +
+    b^T) + t^2 c`` at every ``t`` of the grid, from one batched ``eigvalsh``.
+
+    This is the frame operator along any interpolation ``(1-t) x + t y`` of
+    paired points, with ``a``, ``b`` and ``c`` the moment matrices ``E[x
+    x^T]``, ``E[x y^T]`` and ``E[y y^T]``.
+    """
+    s = (1.0 - ts)[:, None, None] ** 2 * a + (ts * (1.0 - ts))[:, None, None] * (b + b.T)
+    s += ts[:, None, None] ** 2 * c
+    return np.linalg.eigvalsh(s), np.trace(s, axis1=1, axis2=2)
+
+
 def geodesic_profile(
     mu0: DiscreteMeasure, mu1: DiscreteMeasure, grid_size: int = DEFAULT_GRID
 ) -> GeodesicProfile:
@@ -149,15 +162,13 @@ def geodesic_profile(
     a = xs.T @ (mass[:, None] * xs)
     b = xs.T @ (mass[:, None] * ys)
     c = ys.T @ (mass[:, None] * ys)
-    s = (1.0 - ts)[:, None, None] ** 2 * a + (ts * (1.0 - ts))[:, None, None] * (b + b.T)
-    s += ts[:, None, None] ** 2 * c
-    spectra = np.linalg.eigvalsh(s)
+    spectra, moments = _quadratic_path(ts, a, b, c)
     lows, highs = spectra[:, 0], spectra[:, -1]
     return GeodesicProfile(
         ts=ts,
         lower_bounds=np.maximum(lows, 0.0),
         upper_bounds=highs,
-        second_moments=np.trace(s, axis1=1, axis2=2),
+        second_moments=moments,
         all_frames=bool(all(lo > pd_threshold(hi) for lo, hi in zip(lows, highs))),
     )
 
@@ -220,15 +231,16 @@ def coherence_identity_test(phi: Array, psi: Array) -> bool:
     return holds
 
 
-def _require_zero_mean(g: GaussianMeasure, name: str) -> None:
-    if float(np.abs(g.mean).max()) > 1e-12:
-        raise ValueError(f"{name} must have zero mean")
-
-
-def _require_nonsingular(g: GaussianMeasure, name: str) -> None:
-    w = np.linalg.eigvalsh(g.covariance)
-    if w[0] <= 1e-12 * max(1.0, float(w[-1])):
-        raise ValueError(f"{name} covariance is singular")
+def _gaussian_pair(g0: GaussianMeasure, g1: GaussianMeasure) -> tuple[Array, Array]:
+    """``S0^{1/2}`` and ``(S0^{1/2} S1 S0^{1/2})^{1/2}`` for two zero-mean
+    Gaussians of one dimension."""
+    for g, name in ((g0, "g0"), (g1, "g1")):
+        if float(np.abs(g.mean).max()) > 1e-12:
+            raise ValueError(f"{name} must have zero mean")
+    if g0.dim != g1.dim:
+        raise ValueError(f"dimension mismatch: {g0.dim} vs {g1.dim}")
+    root0 = linalg.sqrt_psd(g0.covariance)
+    return root0, linalg.sqrt_psd(root0 @ g1.covariance @ root0)
 
 
 def gaussian_w2(g0: GaussianMeasure, g1: GaussianMeasure) -> float:
@@ -239,12 +251,7 @@ def gaussian_w2(g0: GaussianMeasure, g1: GaussianMeasure) -> float:
     whenever the covariances commute.  Nonnegative, and zero iff the
     covariances coincide.
     """
-    _require_zero_mean(g0, "g0")
-    _require_zero_mean(g1, "g1")
-    if g0.dim != g1.dim:
-        raise ValueError(f"dimension mismatch: {g0.dim} vs {g1.dim}")
-    root0 = linalg.sqrt_psd(g0.covariance)
-    middle = linalg.sqrt_psd(root0 @ g1.covariance @ root0)
+    _, middle = _gaussian_pair(g0, g1)
     value = float(np.trace(g0.covariance) + np.trace(g1.covariance) - 2.0 * np.trace(middle))
     return max(value, 0.0)
 
@@ -252,16 +259,13 @@ def gaussian_w2(g0: GaussianMeasure, g1: GaussianMeasure) -> float:
 def gaussian_optimal_map(g0: GaussianMeasure, g1: GaussianMeasure) -> Array:
     """The symmetric PSD linear map pushing ``g0`` optimally onto ``g1``:
     ``A = S0^{-1/2} (S0^{1/2} S1 S0^{1/2})^{1/2} S0^{-1/2}``."""
-    _require_zero_mean(g0, "g0")
-    _require_zero_mean(g1, "g1")
-    if g0.dim != g1.dim:
-        raise ValueError(f"dimension mismatch: {g0.dim} vs {g1.dim}")
-    _require_nonsingular(g0, "g0")
-    _require_nonsingular(g1, "g1")
-    root0 = linalg.sqrt_psd(g0.covariance)
+    root0, middle = _gaussian_pair(g0, g1)
+    for g, name in ((g0, "g0"), (g1, "g1")):
+        w = np.linalg.eigvalsh(g.covariance)
+        if w[0] <= 1e-12 * max(1.0, float(w[-1])):
+            raise ValueError(f"{name} covariance is singular")
     w, q = np.linalg.eigh(root0)
     inv_root0 = q @ np.diag(1.0 / w) @ q.T
-    middle = linalg.sqrt_psd(root0 @ g1.covariance @ root0)
     amap = inv_root0 @ middle @ inv_root0
     return 0.5 * (amap + amap.T)
 
@@ -271,35 +275,29 @@ def gaussian_path(
 ) -> GaussianPath:
     """Geodesic between zero-mean nonsingular Gaussians.
 
-    The covariance at parameter ``t`` is ``M_t S0 M_t^T`` with
-    ``M_t = (1-t) I + t A`` and ``A`` the optimal map; since ``A`` is
-    symmetric PSD and nonsingular, every interpolated covariance stays
-    positive definite, which is verified on the grid.
+    The covariance at parameter ``t`` is ``M_t S0 M_t`` with ``M_t = (1-t) I
+    + t A`` and ``A`` the optimal map, which is the moment path with ``a =
+    S0``, ``b = S0 A`` and ``c = A S0 A``.  Since ``A`` is symmetric PSD and
+    nonsingular, every interpolated covariance stays positive definite,
+    which is verified on the grid.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     amap = gaussian_optimal_map(g0, g1)
-    d = g0.dim
+    s0 = g0.covariance
     ts = np.linspace(0.0, 1.0, grid_size)
-    lows, highs, moments = [], [], []
-    for t in ts:
-        mt = (1.0 - t) * np.eye(d) + t * amap
-        sigma_t = mt @ g0.covariance @ mt.T
-        sigma_t = 0.5 * (sigma_t + sigma_t.T)
-        w = np.linalg.eigvalsh(sigma_t)
-        if w[0] <= 0.0:
-            raise NumericError(f"interpolated covariance lost definiteness at t={t}")
-        lows.append(float(w[0]))
-        highs.append(float(w[-1]))
-        moments.append(float(np.trace(sigma_t)))
+    spectra, moments = _quadratic_path(ts, s0, s0 @ amap, amap @ s0 @ amap)
+    lost = np.flatnonzero(spectra[:, 0] <= 0.0)
+    if lost.size:
+        raise NumericError(f"interpolated covariance lost definiteness at t={ts[lost[0]]}")
     return GaussianPath(
         sigma0=g0.covariance,
         sigma1=g1.covariance,
         optimal_map=amap,
         ts=ts,
-        lower_bounds=np.array(lows),
-        upper_bounds=np.array(highs),
-        second_moments=np.array(moments),
+        lower_bounds=spectra[:, 0],
+        upper_bounds=spectra[:, -1],
+        second_moments=moments,
     )
 
 

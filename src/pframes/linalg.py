@@ -19,6 +19,7 @@ Array = np.ndarray
 
 # Singular values below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-12
+# Entries of a - a^T beyond SYMMETRY_RTOL * max(1, max|a|) reject a matrix.
 SYMMETRY_RTOL = 1e-12
 
 
@@ -37,10 +38,10 @@ def require_square(a: Array, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
 
 
-def require_symmetric(a: Array, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> None:
+def require_symmetric(a: Array, name: str = "matrix") -> None:
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > rtol * scale:
-        raise ValueError(f"{name} is not symmetric within {rtol} relative tolerance")
+    if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * scale:
+        raise ValueError(f"{name} is not symmetric within {SYMMETRY_RTOL} relative tolerance")
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,13 @@ def pinv(m) -> Array:
     return np.linalg.pinv(a, rcond=RANK_RTOL)
 
 
-def numeric_rank(m, rtol: float = RANK_RTOL) -> int:
+def numeric_rank(m) -> int:
     """Rank decision consistent with :func:`pinv`'s truncation threshold."""
     a = as_matrix(m)
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def sqrt_psd(m) -> Array:

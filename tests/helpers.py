@@ -1,6 +1,6 @@
 """Shared test utilities: random frames, brute-force oracles, feasible-plan
 generators, a ``solve_lp`` wrapper that injects a residual, a per-measure
-geodesic profile, and power-cell helpers.  The oracles are independent of
+geodesic profile, a per-point Gaussian path, and power-cell helpers.  The oracles are independent of
 the solver paths they check."""
 
 import itertools
@@ -9,7 +9,7 @@ import numpy as np
 
 from scipy.optimize import linear_sum_assignment
 
-from pframes.geodesics import GeodesicProfile, geodesic_measure
+from pframes.geodesics import GeodesicProfile, gaussian_optimal_map, geodesic_measure
 from pframes.measures import DiscreteMeasure, frame_operator, frame_report
 from pframes.optim import FEASIBILITY_TOL, LpOutcome
 
@@ -205,6 +205,23 @@ def profile_by_measures(mu0, mu1, plan, grid_size):
         second_moments=np.array([r.second_moment for r in reports]),
         all_frames=all(r.is_frame for r in reports),
     )
+
+
+def gaussian_path_by_loop(g0, g1, grid_size):
+    """Bounds and traces of ``M_t S0 M_t^T``, ``M_t = (1-t) I + t A``, one
+    grid point at a time: a reference for the library's batched moment path
+    only.  Returns ``(ts, lower, upper, second_moments)``."""
+    amap = gaussian_optimal_map(g0, g1)
+    ts = np.linspace(0.0, 1.0, grid_size)
+    rows = []
+    for t in ts:
+        mt = (1.0 - t) * np.eye(g0.dim) + t * amap
+        sigma_t = mt @ g0.covariance @ mt.T
+        sigma_t = 0.5 * (sigma_t + sigma_t.T)
+        w = np.linalg.eigvalsh(sigma_t)
+        rows.append((w[0], w[-1], np.trace(sigma_t)))
+    lower, upper, moments = np.array(rows).T
+    return ts, lower, upper, moments
 
 
 def broadcast_power_scores(sites, weights, points):

@@ -237,6 +237,14 @@ def sites_payload():
     }
 
 
+def recon_payload():
+    return {
+        "sites": [[1.0, 0.0], [-0.3, 1.0], [-0.7, -1.0]],
+        "targets": [0.4, 0.35, 0.25],
+        "reference": {"type": "gaussian", "dim": 2},
+    }
+
+
 def test_semidiscrete_adapt_reproducible_bytes(tmp_path, capsys):
     spec = write_json(tmp_path / "sites.json", sites_payload())
     out_a = tmp_path / "a.json"
@@ -273,19 +281,113 @@ def test_semidiscrete_adapt_unreachable_tolerance_exits_three(tmp_path, capsys):
 
 def test_reconstruct_command(tmp_path, capsys):
     spec = write_json(
-        tmp_path / "recon.json",
-        {
-            "sites": [[1.0, 0.0], [-0.3, 1.0], [-0.7, -1.0]],
-            "targets": [0.4, 0.35, 0.25],
-            "reference": {"type": "gaussian", "dim": 2},
-            "xs": [[1.0, 0.0], [0.0, 1.0]],
-        },
+        tmp_path / "recon.json", dict(recon_payload(), xs=[[1.0, 0.0], [0.0, 1.0]])
     )
     code, out, _ = run(capsys, ["reconstruct", spec, "--samples", "60000", "--seed", "2"])
     assert code == 0
     payload = json.loads(out)
     assert payload["max_error"] <= 5e-2
     assert len(payload["reconstructions"]) == 2
+
+
+SAMPLING = ["--samples", "2000", "--seed", "3", "--tol", "0.01"]
+
+
+def json_command(tmp_path, name):
+    """Argv and input paths that run ``name`` to a JSON result."""
+    basis = write_json(tmp_path / "m.json", basis_measure_payload())
+    scaled = write_json(
+        tmp_path / "s.json",
+        {"dim": 2, "atoms": (np.sqrt(2.0) * np.eye(2)).tolist(), "weights": [0.5, 0.5]},
+    )
+    g0 = write_json(tmp_path / "g0.json", {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]})
+    g1 = write_json(tmp_path / "g1.json", {"mean": [0.0, 0.0], "cov": [[4.0, 0.0], [0.0, 1.0]]})
+    inputs = {
+        "frame-report": [basis],
+        "canonical-dual": [basis],
+        "transport-dual": [scaled, scaled],
+        "wasserstein": [basis, scaled],
+        "monotone": [write_json(tmp_path / "p.json", {"xs": [[1.0, 0.0]], "ys": [[0.0, 1.0]]})],
+        "gaussian-w2": [g0, g1],
+        "semidiscrete-adapt": [write_json(tmp_path / "sites.json", sites_payload())],
+        "reconstruct": [write_json(tmp_path / "recon.json", recon_payload())],
+    }[name]
+    sampling = name in ("semidiscrete-adapt", "reconstruct")
+    return [name, *inputs, *(SAMPLING if sampling else [])], inputs
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["frame-report", "canonical-dual", "transport-dual", "wasserstein", "monotone",
+     "gaussian-w2", "semidiscrete-adapt", "reconstruct"],
+)
+def test_json_commands_echo_config_last(tmp_path, capsys, name):
+    argv, inputs = json_command(tmp_path, name)
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert list(payload)[-1] == "config"
+    config = payload["config"]
+    assert config["command"] == name
+    assert config["inputs"] == inputs
+    if name in ("semidiscrete-adapt", "reconstruct"):
+        assert list(config) == ["command", "inputs", "samples", "seed", "tol"]
+        assert (config["samples"], config["seed"], config["tol"]) == (2000, 3, 0.01)
+    else:
+        assert list(config) == ["command", "inputs"]
+
+
+@pytest.mark.parametrize("name", ["geodesic-profile", "gaussian-path"])
+def test_csv_commands_write_no_config(tmp_path, capsys, name):
+    if name == "geodesic-profile":
+        inputs = [write_json(tmp_path / "m.json", basis_measure_payload())] * 2
+    else:
+        inputs = [write_json(tmp_path / f"g{k}.json", {"mean": [0.0], "cov": [[k + 1.0]]})
+                  for k in range(2)]
+    code, out, _ = run(capsys, [name, *inputs, "--grid", "3"])
+    assert code == 0
+    assert out.split("\n")[0] == "t,lambda_min,lambda_max,m2"
+    assert "config" not in out and "{" not in out
+
+
+@pytest.mark.parametrize("name", ["semidiscrete-adapt", "reconstruct"])
+def test_spec_missing_targets_exits_two(tmp_path, capsys, name):
+    spec = dict(recon_payload())
+    del spec["targets"]
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out, err = run(capsys, [name, path, "--samples", "500"])
+    assert code == 2
+    assert out == ""
+    assert "missing 'targets'" in err
+
+
+def test_reconstruct_rank_deficient_frame_exits_two(tmp_path, capsys):
+    spec = dict(recon_payload(), frame=[[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out, err = run(capsys, ["reconstruct", path, "--samples", "2000"])
+    assert code == 2
+    assert out == ""
+    assert "input error: measure support does not span the space" in err
+
+
+def test_reconstruct_failed_dual_identity_exits_three(tmp_path, capsys, monkeypatch):
+    # A frame operator off by 1% makes the canonical dual fail its identity
+    # check, which is a numeric failure rather than an input error.
+    operator = pframes.duality.frame_operator
+    monkeypatch.setattr(pframes.duality, "frame_operator", lambda m: 1.01 * operator(m))
+    path = write_json(tmp_path / "spec.json", recon_payload())
+    code, out, err = run(capsys, ["reconstruct", path, "--samples", "2000"])
+    assert code == 3
+    assert out == ""
+    assert "numeric error: canonical dual identity check failed" in err
+
+
+def test_reconstruct_empty_xs_exits_two(tmp_path, capsys):
+    path = write_json(tmp_path / "spec.json", dict(recon_payload(), xs=[]))
+    code, out, err = run(capsys, ["reconstruct", path, "--samples", "2000"])
+    assert code == 2
+    assert out == ""
+    assert "input error: 'xs' must hold at least one vector" in err
 
 
 def test_unknown_reference_type_exits_two(tmp_path, capsys):

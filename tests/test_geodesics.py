@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     brute_force_assignment,
+    gaussian_path_by_loop,
     profile_by_measures,
     random_frame_measure,
     random_orthogonal,
@@ -522,6 +523,25 @@ def test_gaussian_path_stays_positive(seed):
     d = int(rng.integers(2, 4))
     path = gaussian_path(zero_mean(random_spd(rng, d)), zero_mean(random_spd(rng, d)), grid_size=31)
     assert path.lower_bounds.min() > 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gaussian_path_matches_per_point_loop(d):
+    rng = np.random.default_rng(40 + d)
+    g0, g1 = zero_mean(random_spd(rng, d)), zero_mean(random_spd(rng, d))
+    path = gaussian_path(g0, g1, grid_size=41)
+    ts, lower, upper, moments = gaussian_path_by_loop(g0, g1, 41)
+    assert np.array_equal(path.ts, ts)
+    for got, want in ((path.lower_bounds, lower), (path.upper_bounds, upper),
+                      (path.second_moments, moments)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gaussian_path_names_first_indefinite_t(monkeypatch):
+    # A map through -I collapses the covariance at t = 1/2 and flips it back.
+    monkeypatch.setattr(pframes.geodesics, "gaussian_optimal_map", lambda g0, g1: -np.eye(2))
+    with pytest.raises(NumericError, match=r"definiteness at t=0\.5$"):
+        gaussian_path(zero_mean(np.eye(2)), zero_mean(np.eye(2)), grid_size=5)
 
 
 def test_gaussian_path_rejects_singular():
