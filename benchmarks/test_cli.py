@@ -7,8 +7,9 @@ Run from the repository root (tier-1 collects only ``tests/``):
 Every round is a fresh interpreter, so the times include interpreter start
 and imports: ``python -c "import pframes.cli"``, then ``python -m
 pframes.cli`` on ``frame-report`` (a 3-atom 2-d frame), ``transport-dual``
-(that frame and its canonical dual, one LP) and ``semidiscrete-adapt`` (3
-sites on a 2-d Gaussian, 20k samples), on fixture files in ``tmp_path``.
+(that frame and its canonical dual, which pair atom by atom, so no LP) and
+``semidiscrete-adapt`` (3 sites on a 2-d Gaussian, 20k samples), on fixture
+files in ``tmp_path``.
 """
 
 import json

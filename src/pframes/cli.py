@@ -72,11 +72,15 @@ def _reference_from_payload(payload) -> semidiscrete.Reference:
     if not isinstance(payload, dict) or "type" not in payload:
         raise ValueError("reference must be an object with a 'type' field")
     kind = payload["type"]
+    fields = {"gaussian": ("dim",), "box": ("lo", "hi")}
+    if kind not in fields:
+        raise ValueError(f"unknown reference type '{kind}' (expected 'gaussian' or 'box')")
+    for key in fields[kind]:
+        if key not in payload:
+            raise ValueError(f"{kind} reference missing '{key}'")
     if kind == "gaussian":
         return semidiscrete.GaussianReference(dim=int(payload["dim"]))
-    if kind == "box":
-        return semidiscrete.BoxReference(lower=payload["lo"], upper=payload["hi"])
-    raise ValueError(f"unknown reference type '{kind}' (expected 'gaussian' or 'box')")
+    return semidiscrete.BoxReference(lower=payload["lo"], upper=payload["hi"])
 
 
 def _adapt(args, path: str):

@@ -6,7 +6,10 @@ A measure ``nu`` is a transport dual of a frame ``mu`` when some coupling
 feasibility problem over the transportation polytope ``DS(alpha, beta)``:
 find ``A >= 0`` with prescribed row/column sums and ``Phi^T A Psi = I``.
 The solver returns either an explicit coupling or a Farkas-type certificate
-``(B, u, v)`` proving that no coupling exists.
+``(B, u, v)`` proving that no coupling exists.  When the two measures pair
+atom by atom (equal counts and weights, as for the canonical dual and the
+``psi_h`` duals), the diagonal coupling is tried first and returned if it
+passes the identity check, so no LP is solved; otherwise one LP decides.
 
 Alongside the LP route, the deterministic constructions are provided: the
 canonical dual ``(S^{-1})_# mu``, the classical enumeration of duals of a
@@ -31,6 +34,8 @@ PLAN_TOL = 1e-8
 # identity check runs looser than LP feasibility.
 PRODUCT_TOL = 1e-7
 CERTIFICATE_TOL = 1e-8
+# Two measures pair atom by atom when their weights agree to this.
+PAIRED_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -193,8 +198,11 @@ def psi_h_dual(measure: DiscreteMeasure, h_values) -> DiscreteMeasure:
 
 def deterministic_plan(measure: DiscreteMeasure, dual: DiscreteMeasure) -> TransportPlan:
     """Diagonal coupling pairing atom ``i`` of the measure with atom ``i`` of
-    its image (both must share weights atomwise)."""
-    if dual.count != measure.count or float(np.abs(dual.weights - measure.weights).max()) > 1e-12:
+    its image (both must share weights atomwise, to ``PAIRED_WEIGHT_TOL``)."""
+    if (
+        dual.count != measure.count
+        or float(np.abs(dual.weights - measure.weights).max()) > PAIRED_WEIGHT_TOL
+    ):
         raise ValueError("deterministic coupling requires atomwise matching weights")
     return TransportPlan(measure, dual, np.diag(measure.weights))
 
@@ -208,6 +216,13 @@ def find_transport_dual(
     ``PRODUCT_TOL``.  Infeasible: returns a validated Farkas certificate.
     Exactly duplicated support points are combined before solving, so the
     returned plan's measures may have fewer atoms than the inputs.
+
+    When the merged measures have equal atom counts and weights equal atom by
+    atom, the diagonal coupling (``deterministic_plan``) is tried first and
+    returned if it passes ``verify_transport_dual``: the returned coupling
+    may then differ from the vertex an LP would pick.  Every other pair, and
+    a paired one whose diagonal coupling fails the check, is decided by one
+    ``solve_lp`` call without an objective.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -217,6 +232,10 @@ def find_transport_dual(
     phi, alpha = mu_m.atoms, mu_m.weights
     psi, beta = nu_m.atoms, nu_m.weights
     n, m, d = mu_m.count, nu_m.count, mu_m.dim
+    if n == m and float(np.abs(alpha - beta).max()) <= PAIRED_WEIGHT_TOL:
+        plan = deterministic_plan(mu_m, nu_m)
+        if verify_transport_dual(plan):
+            return plan
 
     # Row-major vec(A): the duality rows are kron(Phi^T, Psi^T), then the
     # marginal rows.

@@ -76,21 +76,24 @@ class DiscreteMeasure:
 
 
 def merge_duplicate_atoms(measure: DiscreteMeasure) -> DiscreteMeasure:
-    """Combine bitwise-equal atoms, summing their weights.
+    """Combine equal atoms (``-0.0`` equals ``0.0``), summing their weights.
 
     Distinct atoms keep their first-occurrence order; a measure without
-    duplicates is returned as is.
+    duplicates is returned as is.  One stable ``lexsort`` over the columns
+    brings equal atoms together, earliest first.
     """
-    _, first, inverse = np.unique(
-        measure.atoms, axis=0, return_index=True, return_inverse=True
-    )
-    if first.shape[0] == measure.count:
+    order = np.lexsort(measure.atoms.T)
+    ranked = measure.atoms[order]
+    starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    if starts.all():
         return measure
-    order = np.argsort(first)
-    relabel = np.empty_like(order)
-    relabel[order] = np.arange(order.size)
-    weights = np.zeros(first.shape[0])
-    np.add.at(weights, relabel[inverse], measure.weights)
+    first = order[starts]
+    relabel = np.empty_like(first)
+    relabel[np.argsort(first)] = np.arange(first.size)
+    labels = np.empty_like(order)
+    labels[order] = relabel[np.cumsum(starts) - 1]
+    weights = np.zeros(first.size)
+    np.add.at(weights, labels, measure.weights)
     return DiscreteMeasure(atoms=measure.atoms[np.sort(first)], weights=weights)
 
 

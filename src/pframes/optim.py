@@ -3,16 +3,18 @@ Kantorovich potentials.
 
 ``solve_lp`` decides feasibility of ``K a = t, a >= 0`` and, with an
 objective, optimizes over that set, using the HiGHS dual revised simplex
-(Huangfu and Hall, Math. Prog. Comp. 2018) shipped with scipy.  Feasible
-systems come back with a solution whose nonnegativity and residual are
-re-checked here; a point that HiGHS accepts at its default tolerance but that
-misses a bound or a row by more than round-off is re-solved once at the
-tightest tolerance.  Infeasible systems come back with a Farkas certificate
-``y`` satisfying ``y^T K >= 0`` and ``y^T t < 0`` (up to the stated
-tolerances), read off the equality duals of the elastic LP
-``min 1^T (s+ + s-)  s.t.  K a + s+ - s- = t``; the certificate is
-re-validated before it is returned, never emitted unchecked.  The intended
-scale is couplings up to roughly 50 x 50.
+(Huangfu and Hall, Math. Prog. Comp. 2018) shipped with scipy.  Without an
+objective it solves one LP, the elastic LP ``min 1^T (s+ + s-)  s.t.  K a +
+s+ - s- = t``: zero slack (up to the feasibility tolerance) gives the
+solution, positive slack gives a Farkas certificate ``y`` satisfying ``y^T K
+>= 0`` and ``y^T t < 0`` (up to the stated tolerances), read off its equality
+duals.  With an objective, ``milp`` optimizes, and the elastic LP runs only
+to certify a system ``milp`` reports infeasible.  Feasible systems come back
+with a solution whose nonnegativity and residual are re-checked here; a point
+that HiGHS accepts at its default tolerance but that misses a bound or a row
+by more than round-off is re-solved once at the tightest tolerance.  The
+certificate is re-validated before it is returned, never emitted unchecked.
+The intended scale is couplings up to roughly 50 x 50.
 
 ``kantorovich_potentials`` finds dual potentials ``(u, v)`` for the support
 of a transportation coupling by Bellman-Ford on its difference constraints,
@@ -78,11 +80,16 @@ class LpOutcome:
     dual_certificate: Array | None = None
 
 
-def _farkas_certificate(kmat: Array, rhs: Array) -> Array:
-    """Equality duals of the elastic LP, scaled to unit max-norm.
+def _elastic_lp(kmat: Array, rhs: Array) -> tuple[Array | None, Array | None]:
+    """Solve ``min 1^T (s+ + s-)  s.t.  K a + s+ - s- = t`` with every
+    variable nonnegative; return ``(a, None)`` or ``(None, y)``.
 
-    The elastic dual is ``max t^T z  s.t.  K^T z <= 0, |z| <= 1``; a positive
-    optimum means ``y = -z`` separates ``t`` from the cone ``K a, a >= 0``.
+    A slack within ``FEASIBILITY_TOL * (1 + max|t|)`` gives the ``a`` part,
+    still to be checked by the caller.  A larger slack gives the equality
+    duals as a Farkas certificate: the elastic dual is ``max t^T z  s.t.
+    K^T z <= 0, |z| <= 1``, so ``y = -z`` scaled to unit max-norm has ``y^T
+    K >= 0`` and ``y^T t <= -slack``.  It is re-validated before it is
+    returned.
     """
     from scipy.optimize import linprog
 
@@ -97,11 +104,16 @@ def _farkas_certificate(kmat: Array, rhs: Array) -> Array:
     )
     if res.status != 0:
         raise NumericError(f"elastic LP failed: {res.message}")
+    if float(res.fun) <= FEASIBILITY_TOL * (1.0 + float(np.abs(rhs).max())):
+        return np.array(res.x[:n], dtype=float), None
     cert = -np.asarray(res.eqlin.marginals, dtype=float)
     peak = float(np.abs(cert).max())
     if peak <= 0.0:
         raise NumericError("degenerate Farkas certificate")
-    return cert / peak
+    cert = cert / peak
+    if float((cert @ kmat).min()) < -FEASIBILITY_TOL or float(cert @ rhs) > -FEASIBILITY_TOL:
+        raise NumericError("Farkas certificate failed re-validation")
+    return None, cert
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -110,6 +122,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     Returns one of the two Farkas alternatives with a verifying witness:
     either a nonnegative solution with residual below the feasibility
     tolerance, or a certificate vector proving no such solution exists.
+    Without an objective this is one solve, of the elastic LP; with one it
+    is one ``milp`` solve, followed by the elastic LP only when ``milp``
+    reports the system infeasible.
     """
     from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
@@ -121,30 +136,33 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains non-finite entries")
     cost = np.zeros(n)
-    if lp.objective is not None:
+    if lp.objective is None:
+        solution, cert = _elastic_lp(kmat, rhs)
+    else:
         cost = np.asarray(lp.objective, dtype=float)
         if cost.shape != (n,):
             raise ValueError(f"objective must have length {n}, got shape {cost.shape}")
         if not np.all(np.isfinite(cost)):
             raise ValueError("objective contains non-finite entries")
-
-    res = milp(
-        cost,
-        bounds=Bounds(0.0, np.inf),
-        constraints=LinearConstraint(kmat, rhs, rhs),
-        options={"presolve": False},
-    )
-    if res.status == 2:
-        cert = _farkas_certificate(kmat, rhs)
-        if float((cert @ kmat).min()) < -FEASIBILITY_TOL or float(cert @ rhs) > -FEASIBILITY_TOL:
-            raise NumericError("Farkas certificate failed re-validation")
+        res = milp(
+            cost,
+            bounds=Bounds(0.0, np.inf),
+            constraints=LinearConstraint(kmat, rhs, rhs),
+            options={"presolve": False},
+        )
+        if res.status == 2:
+            solution, cert = _elastic_lp(kmat, rhs)
+            if cert is None:
+                raise NumericError("LP solver reported infeasible, but the elastic LP has no slack")
+        elif res.status == 3:
+            raise NumericError("objective is unbounded below on the feasible set")
+        elif res.status != 0:
+            raise NumericError(f"LP solver failed: {res.message}")
+        else:
+            solution, cert = np.array(res.x, dtype=float), None
+    if cert is not None:
         return LpOutcome(status="infeasible", dual_certificate=cert)
-    if res.status == 3:
-        raise NumericError("objective is unbounded below on the feasible set")
-    if res.status != 0:
-        raise NumericError(f"LP solver failed: {res.message}")
 
-    solution = np.array(res.x, dtype=float)
     rhs_scale = 1.0 + float(np.abs(rhs).max())
     if (
         solution.min() < -HIGHS_TIGHT_TOL

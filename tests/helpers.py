@@ -1,7 +1,8 @@
 """Shared test utilities: random frames, brute-force oracles, feasible-plan
-generators, a ``solve_lp`` wrapper that injects a residual, a per-measure
-geodesic profile, a per-point Gaussian path, and power-cell helpers.  The oracles are independent of
-the solver paths they check."""
+generators, a call counter, a ``solve_lp`` wrapper that injects a residual,
+a reference duplicate merge, a per-measure geodesic profile, a per-point
+Gaussian path, and power-cell helpers.  The oracles are independent of the
+solver paths they check."""
 
 import itertools
 
@@ -175,6 +176,21 @@ def duality_feasible_bruteforce(mu, nu, tol=1e-8):
     return False
 
 
+def counting(monkeypatch, module, *names):
+    """Wrap each named attribute of ``module`` so that every call appends its
+    name to the returned list, in call order."""
+    calls = []
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def with_row_residual(solve_lp, residual):
     """Wrap ``solve_lp`` so that feasible points come back with ``residual``
     added to their first entry.  The point must still pass ``solve_lp``'s own
@@ -190,6 +206,21 @@ def with_row_residual(solve_lp, residual):
         return LpOutcome(status="feasible", solution=solution)
 
     return perturbed
+
+
+def merge_by_unique(measure):
+    """Duplicate merge by ``np.unique(axis=0)``, first occurrences kept in
+    order and weights summed with ``np.add.at``: a reference for the
+    library's lexsort grouping only."""
+    _, first, inverse = np.unique(measure.atoms, axis=0, return_index=True, return_inverse=True)
+    if first.shape[0] == measure.count:
+        return measure
+    order = np.argsort(first)
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(order.size)
+    weights = np.zeros(first.shape[0])
+    np.add.at(weights, relabel[inverse], measure.weights)
+    return DiscreteMeasure(atoms=measure.atoms[np.sort(first)], weights=weights)
 
 
 def profile_by_measures(mu0, mu1, plan, grid_size):

@@ -399,6 +399,22 @@ def test_unknown_reference_type_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "reference, field",
+    [
+        ({"type": "gaussian"}, "dim"),
+        ({"type": "box", "hi": [1.0, 1.0]}, "lo"),
+        ({"type": "box", "lo": [-1.0, -1.0]}, "hi"),
+    ],
+)
+def test_reference_missing_field_is_named(tmp_path, capsys, reference, field):
+    spec = write_json(tmp_path / "sites.json", dict(sites_payload(), reference=reference))
+    code, out, err = run(capsys, ["semidiscrete-adapt", spec, "--samples", "100"])
+    assert code == 2
+    assert out == ""
+    assert f"input error: {reference['type']} reference missing '{field}'" in err
+
+
 def test_floats_serialized_with_full_precision(tmp_path, capsys):
     value = 1.0 / 3.0
     src = write_json(
@@ -445,6 +461,8 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
     commands = [
         ["frame-report", m],
         ["canonical-dual", m, "--out", str(tmp_path / "dual.json")],
+        # A frame and its canonical dual pair atom by atom: no LP is solved.
+        ["transport-dual", m, str(tmp_path / "dual.json")],
         ["gaussian-w2", g0, g1],
         ["gaussian-path", g0, g1, "--grid", "3"],
         ["semidiscrete-adapt", sites, "--samples", "2000", "--seed", "1"],
@@ -457,7 +475,7 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
         "if m.startswith(('scipy.optimize', 'scipy.sparse')))]))"
     )
     codes, loaded = run_child(code, json.dumps(commands))
-    assert codes == [0, 0, 0, 0, 0, 2]
+    assert codes == [0, 0, 0, 0, 0, 0, 2]
     assert loaded == []
 
 

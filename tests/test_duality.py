@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     MERCEDES_BENZ,
+    counting,
     duality_feasible_bruteforce,
     random_frame_measure,
     remark_instance,
@@ -302,6 +303,103 @@ def test_zero_centroid_obstruction_gets_a_certificate(seed, n, dim):
     combined = np.trace(result.B) + result.u @ mu.weights + result.v @ nu.weights
     assert pairings.min() >= -CERTIFICATE_TOL
     assert combined <= -CERTIFICATE_TOL
+
+
+# --- paired coupling first, one LP otherwise ----------------------------------
+
+
+def with_duplicates(mu, count):
+    atoms = np.vstack([mu.atoms, mu.atoms[:count]])
+    weights = np.concatenate([mu.weights, mu.weights[:count]])
+    return DiscreteMeasure(atoms=atoms, weights=weights / weights.sum())
+
+
+@pytest.mark.parametrize("kind", ["canonical", "psi_h", "duplicates"])
+@pytest.mark.parametrize("seed", range(3))
+def test_paired_duals_are_decided_without_an_lp(monkeypatch, kind, seed):
+    calls = counting(monkeypatch, pframes.duality, "solve_lp")
+    rng = np.random.default_rng(seed)
+    mu = random_frame_measure(rng, 3, 12)
+    if kind == "duplicates":
+        mu = with_duplicates(mu, 4)
+    if kind == "psi_h":
+        nu = psi_h_dual(mu, 0.3 * rng.normal(size=(12, 3)))
+    else:
+        nu = canonical_dual(mu)
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, TransportPlan)
+    assert_dual_plan(result, mu, nu)
+    assert calls == []
+
+
+def test_permuted_canonical_dual_is_decided_by_one_lp(monkeypatch):
+    # Counts and weights pair atom by atom, but the diagonal coupling sends
+    # phi_i to S^{-1} phi_{i+1}: it fails the product check, and the LP
+    # finds the shifted coupling.
+    mu = random_frame_measure(np.random.default_rng(8), 3, 10, uniform=True)
+    dual = canonical_dual(mu)
+    nu = DiscreteMeasure(atoms=np.roll(dual.atoms, -1, axis=0), weights=dual.weights)
+    assert not verify_transport_dual(deterministic_plan(mu, nu))
+    calls = counting(monkeypatch, pframes.duality, "solve_lp")
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, TransportPlan)
+    assert verify_transport_dual(result)
+    assert_dual_plan(result, mu, nu)
+    assert calls == ["solve_lp"]
+
+
+@pytest.mark.parametrize("kind", ["mercedes-benz", "zero-centroid"])
+def test_infeasible_pair_makes_one_highs_solve(monkeypatch, kind):
+    import scipy.optimize
+
+    rng = np.random.default_rng(21)
+    if kind == "mercedes-benz":
+        mu = mercedes_benz()
+        nu = DiscreteMeasure(atoms=rng.normal(size=(2, 2)), weights=[0.5, 0.5])
+    else:
+        atoms = rng.normal(size=(12, 3))
+        mu = DiscreteMeasure(atoms=atoms - atoms.mean(axis=0), weights=np.full(12, 1.0 / 12.0))
+        nu = DiscreteMeasure(atoms=rng.normal(size=(3, 3)), weights=np.full(3, 1.0 / 3.0))
+    calls = counting(monkeypatch, scipy.optimize, "linprog", "milp")
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, FarkasCertificate)
+    assert certificate_is_valid(result, mu, nu)
+    assert len(calls) == 1
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["canonical", "psi_h", "permuted", "paired-random", "obstructed"]),
+)
+def test_mixed_pairs_agree_with_enumeration_oracle(seed, kind):
+    # Paired duals take the diagonal coupling; permuted duals and random
+    # measures with paired weights fail it and go to the LP, as do
+    # zero-centroid obstructions.
+    rng = np.random.default_rng(seed)
+    if kind == "obstructed":
+        atoms = rng.normal(size=(3, 2))
+        mu = DiscreteMeasure(atoms=atoms - atoms.mean(axis=0), weights=np.full(3, 1.0 / 3.0))
+        assume(frame_report(mu).is_frame)
+        nu = DiscreteMeasure(atoms=rng.normal(size=(2, 2)), weights=[0.5, 0.5])
+    else:
+        n = int(rng.integers(2, 4))
+        mu = random_frame_measure(rng, 2, n, uniform=kind in ("permuted", "paired-random"))
+        if kind == "canonical":
+            nu = canonical_dual(mu)
+        elif kind == "psi_h":
+            nu = psi_h_dual(mu, rng.normal(size=(n, 2)))
+        elif kind == "permuted":
+            dual = canonical_dual(mu)
+            nu = DiscreteMeasure(atoms=np.roll(dual.atoms, 1, axis=0), weights=dual.weights)
+        else:
+            nu = DiscreteMeasure(atoms=rng.normal(size=(n, 2)), weights=mu.weights)
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, TransportPlan) == duality_feasible_bruteforce(mu, nu)
+    if isinstance(result, TransportPlan):
+        assert_dual_plan(result, mu, nu)
+    else:
+        assert certificate_is_valid(result, mu, nu)
 
 
 # --- zero centroid -----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     brute_force_assignment,
+    counting,
     gaussian_path_by_loop,
     profile_by_measures,
     random_frame_measure,
@@ -231,18 +232,6 @@ def test_closed_form_profile_matches_per_measure_path_when_atoms_merge(weights):
     mid = geodesic_measure(mu, nu, wasserstein2(mu, nu).plan, 0.5)
     assert mid.count == 3
     assert_matches_reference(mu, nu)
-
-
-def counting(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls.append(name)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_uniform_profile_makes_one_assignment_and_no_lp(monkeypatch):

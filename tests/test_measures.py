@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MERCEDES_BENZ, random_frame_measure, random_orthogonal
+from helpers import MERCEDES_BENZ, merge_by_unique, random_frame_measure, random_orthogonal
 from pframes.measures import (
     DiscreteMeasure,
     GaussianMeasure,
     frame_operator,
     frame_report,
     measure_from_payload,
+    merge_duplicate_atoms,
     measure_to_payload,
     pd_threshold,
     pushforward_linear,
@@ -129,6 +130,43 @@ def test_duplicate_atoms_are_legal():
     measure = DiscreteMeasure(atoms=[[1.0, 0.0], [1.0, 0.0]], weights=[0.5, 0.5])
     assert measure.count == 2
     assert np.allclose(frame_operator(measure), np.outer([1, 0], [1, 0]))
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 30),
+    dim=st.integers(1, 3),
+    repeats=st.integers(0, 10),
+    negate_zeros=st.booleans(),
+)
+def test_merge_matches_unique_reference(seed, count, dim, repeats, negate_zeros):
+    # Coordinates on a small grid make ties within and across columns; the
+    # planted copies are exact duplicates, some of them with -0.0 for 0.0.
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, size=(count, dim)) / 3.0
+    atoms = np.vstack([base, base[rng.integers(0, count, size=repeats)]])
+    if negate_zeros:
+        flip = rng.random(atoms.shape) < 0.5
+        atoms[flip & (atoms == 0.0)] = -0.0
+    measure = DiscreteMeasure(atoms=atoms, weights=rng.dirichlet(np.ones(atoms.shape[0])))
+    merged, reference = merge_duplicate_atoms(measure), merge_by_unique(measure)
+    assert (merged is measure) == (reference is measure)
+    assert merged.atoms.tobytes() == reference.atoms.tobytes()
+    assert merged.weights.tobytes() == reference.weights.tobytes()
+
+
+def test_merge_treats_negative_zero_as_zero():
+    measure = DiscreteMeasure(atoms=[[-0.0, 1.0], [2.0, 1.0], [0.0, 1.0]], weights=[0.25, 0.5, 0.25])
+    merged = merge_duplicate_atoms(measure)
+    assert np.signbit(merged.atoms[0, 0])
+    assert merged.atoms.tolist() == [[0.0, 1.0], [2.0, 1.0]]
+    assert merged.weights.tolist() == [0.5, 0.5]
+
+
+def test_merge_returns_a_measure_without_duplicates_unchanged():
+    measure = DiscreteMeasure(atoms=[[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], weights=[0.2, 0.3, 0.5])
+    assert merge_duplicate_atoms(measure) is measure
 
 
 def test_atoms_are_immutable():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pframes.optim
-from helpers import brute_force_assignment, refined_assignment
+from helpers import brute_force_assignment, counting, refined_assignment
 from pframes.errors import NumericError
 from pframes.optim import FEASIBILITY_TOL, LinearProgram, LpOutcome, hungarian, solve_lp
 from pframes.transport import squared_distance_matrix
@@ -101,6 +101,24 @@ def test_exactly_one_alternative_on_random_systems():
             infeasible_seen += 1
             assert certificate_holds(out.dual_certificate, kmat, rhs)
     assert feasible_seen > 0 and infeasible_seen > 0
+
+
+def test_infeasible_system_with_an_objective_gets_a_certificate():
+    kmat = np.array([[1.0, 1.0]])
+    rhs = np.array([-1.0])
+    out = solve_lp(LinearProgram(kmat, rhs, objective=np.array([1.0, 2.0])))
+    assert out.status == "infeasible"
+    assert certificate_holds(out.dual_certificate, kmat, rhs)
+
+
+@pytest.mark.parametrize("rhs", [[1.0], [-1.0]], ids=["feasible", "infeasible"])
+def test_feasibility_question_is_one_elastic_solve(monkeypatch, rhs):
+    import scipy.optimize
+
+    calls = counting(monkeypatch, scipy.optimize, "linprog", "milp")
+    out = solve_lp(LinearProgram(np.array([[1.0, 2.0]]), np.array(rhs)))
+    assert out.status == ("feasible" if rhs[0] > 0 else "infeasible")
+    assert calls == ["linprog"]
 
 
 def test_dimension_validation():
