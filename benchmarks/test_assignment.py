@@ -2,7 +2,7 @@
 
 Run from the repository root (tier-1 collects only ``tests/``):
 
-    PYTHONPATH=src python -m pytest benchmarks/test_assignment.py --benchmark-json=out.json
+    python -m pytest benchmarks/test_assignment.py --benchmark-json=out.json
 
 Sizes follow the ``transport`` workload: n = 50, 100 and 150, on random
 normal costs (no ties), on squared distances between integer-grid atoms in

@@ -2,7 +2,7 @@
 
 Run from the repository root (tier-1 collects only ``tests/``):
 
-    PYTHONPATH=src python -m pytest benchmarks/test_cli.py --benchmark-json=out.json
+    python -m pytest benchmarks/test_cli.py --benchmark-json=out.json
 
 Every round is a fresh interpreter, so the times include interpreter start
 and imports: ``python -c "import pframes.cli"``, then ``python -m

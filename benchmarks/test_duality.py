@@ -2,7 +2,7 @@
 
 Run from the repository root (tier-1 collects only ``tests/``):
 
-    PYTHONPATH=src python -m pytest benchmarks/test_duality.py --benchmark-only
+    python -m pytest benchmarks/test_duality.py --benchmark-only
 
 Three kinds of pair at n = 20 and 50 in 3-d, each with a known answer:
 

@@ -2,10 +2,12 @@
 
 Run from the repository root (tier-1 collects only ``tests/``):
 
-    PYTHONPATH=src python -m pytest benchmarks/test_semidiscrete.py --benchmark-json=out.json
+    python -m pytest benchmarks/test_semidiscrete.py --benchmark-json=out.json
 
-``adapt_weights`` fits 8 and 32 sites, spread over the unit square by
-farthest-point sampling, to Dirichlet targets at 200k samples;
+``adapt_weights`` fits sites spread by farthest-point sampling to Dirichlet
+targets: 8 and 32 sites on the unit square at 200k samples, 16 in the unit
+cube at 100k (the median group of the ``adapt`` workload in ``bench/``) and
+16 on a 2-d standard Gaussian at 200k;
 ``assign_cells`` labels 200k points of the unit cube with 16 sites;
 ``reconstruct`` runs analysis and synthesis over 100k samples of a 16-site
 coupling on the unit square.
@@ -14,7 +16,16 @@ coupling on the unit square.
 import numpy as np
 import pytest
 
-from pframes.semidiscrete import BoxReference, adapt_weights, assign_cells, reconstruct
+from pframes.semidiscrete import (
+    BoxReference,
+    GaussianReference,
+    adapt_weights,
+    assign_cells,
+    reconstruct,
+)
+
+SQUARE = BoxReference(lower=[0.0, 0.0], upper=[1.0, 1.0])
+CUBE = BoxReference(lower=[0.0, 0.0, 0.0], upper=[1.0, 1.0, 1.0])
 
 
 def spread_sites(rng, reference, count):
@@ -27,13 +38,21 @@ def spread_sites(rng, reference, count):
     return pool[chosen]
 
 
-@pytest.mark.parametrize("n", [8, 32])
-def test_adapt_weights(benchmark, n):
+@pytest.mark.parametrize(
+    "n, reference, samples",
+    [
+        (8, SQUARE, 200_000),
+        (32, SQUARE, 200_000),
+        (16, CUBE, 100_000),
+        (16, GaussianReference(2), 200_000),
+    ],
+    ids=["square-8", "square-32", "cube-16", "gaussian-16"],
+)
+def test_adapt_weights(benchmark, n, reference, samples):
     rng = np.random.default_rng(n)
-    box = BoxReference(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    sites = spread_sites(rng, box, n)
+    sites = spread_sites(rng, reference, n)
     targets = rng.dirichlet(np.full(n, 5.0))
-    coupling = benchmark(adapt_weights, sites, targets, box, 200_000, seed=n)
+    coupling = benchmark(adapt_weights, sites, targets, reference, samples, seed=n)
     assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
 
 
@@ -48,8 +67,7 @@ def test_assign_cells(benchmark):
 
 def test_reconstruct(benchmark):
     rng = np.random.default_rng(100)
-    box = BoxReference(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    coupling = adapt_weights(spread_sites(rng, box, 16), np.full(16, 1.0 / 16), box, 100_000, seed=3)
+    coupling = adapt_weights(spread_sites(rng, SQUARE, 16), np.full(16, 1.0 / 16), SQUARE, 100_000, seed=3)
     x = np.array([0.6, -0.8])
     out = benchmark(reconstruct, x, coupling, coupling)
     assert out.shape == (2,)

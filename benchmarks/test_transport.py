@@ -3,7 +3,7 @@ pytest-benchmark.
 
 Run from the repository root (tier-1 collects only ``tests/``):
 
-    PYTHONPATH=src python -m pytest benchmarks/test_transport.py --benchmark-json=out.json
+    python -m pytest benchmarks/test_transport.py --benchmark-json=out.json
 
 ``wasserstein2`` runs at n = 40 and 200 on 3-d normal atoms, between uniform
 measures (the assignment route) and between Dirichlet(1) weights (the LP

@@ -29,7 +29,7 @@ from .measures import (
     pd_threshold,
 )
 from .optim import MASS_EPS, certify_potentials
-from .transport import certify_plan, optimal_permutation, squared_distance_matrix, wasserstein2
+from .transport import optimal_permutation, squared_distance_matrix, wasserstein2
 
 Array = np.ndarray
 
@@ -119,12 +119,12 @@ def geodesic_profile(
 ) -> GeodesicProfile:
     """Frame bounds along the geodesic between two discrete frames.
 
-    The optimal plan is computed once and certified by its own Kantorovich
-    potentials (``transport.certify_plan``).  Over its support, with masses
-    ``p_k`` on pairs ``(x_k, y_k)``, every interpolant has the frame operator
-    ``S(t) = (1-t)^2 A + t(1-t) (B + B^T) + t^2 C`` for the moment matrices
-    ``A = sum p_k x_k x_k^T``, ``B = sum p_k x_k y_k^T`` and ``C = sum p_k
-    y_k y_k^T``; one batched ``eigvalsh`` over the grid gives the bounds,
+    The optimal plan is computed once; ``wasserstein2`` certifies it by its
+    own Kantorovich potentials (``transport.certify_plan``) and returns
+    them.  Over its support, with masses ``p_k`` on pairs ``(x_k, y_k)``,
+    every interpolant has the frame operator ``S(t) = (1-t)^2 A + t(1-t)
+    (B + B^T) + t^2 C`` for the moment matrices ``A = sum p_k x_k x_k^T``,
+    ``B = sum p_k x_k y_k^T`` and ``C = sum p_k y_k y_k^T``; one batched ``eigvalsh`` over the grid gives the bounds,
     with ``frame_report``'s rules, and the second moment is the trace.  The
     constant-speed identity ``W(mu0, mu_t) + W(mu_t, mu1) = W(mu0, mu1)`` is
     checked at up to three interior grid points, each half certified by the
@@ -138,8 +138,7 @@ def geodesic_profile(
         raise NotAFrameError("right endpoint is not a frame")
 
     solution = wasserstein2(mu0, mu1)
-    # The plan is certified here, whichever solver made it.
-    u, v = certify_plan(solution.plan)
+    u, v = solution.potentials
     rows, cols = np.nonzero(solution.plan.coupling > MASS_EPS)
     mass = solution.plan.coupling[rows, cols]
     xs, ys = mu0.atoms[rows], mu1.atoms[cols]
@@ -169,7 +168,7 @@ def geodesic_profile(
         lower_bounds=np.maximum(lows, 0.0),
         upper_bounds=highs,
         second_moments=moments,
-        all_frames=bool(all(lo > pd_threshold(hi) for lo, hi in zip(lows, highs))),
+        all_frames=bool(np.all(lows > pd_threshold(highs))),
     )
 
 

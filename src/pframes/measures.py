@@ -23,9 +23,10 @@ Array = np.ndarray
 WEIGHT_SUM_TOL = 1e-6
 
 
-def pd_threshold(lambda_max: float) -> float:
-    """Scale-aware cutoff below which a frame operator counts as singular."""
-    return 1e-10 * max(1.0, float(lambda_max))
+def pd_threshold(lambda_max: float | Array) -> float | Array:
+    """Scale-aware cutoff below which a frame operator counts as singular;
+    elementwise on an array of largest eigenvalues."""
+    return 1e-10 * np.maximum(1.0, lambda_max)
 
 
 def _readonly(a: Array) -> Array:

@@ -12,8 +12,12 @@ whose p-th gradient component is ``lambda_p - mass_p(w)``.  They are found
 by damped Newton steps on the cell masses, whose Jacobian is the Monte
 Carlo graph Laplacian of the cell boundaries (Kitagawa, Merigot and
 Thibert, JEMS 2019), with harmonic gradient ascent on ``F`` as the
-fallback.  Cell masses are Monte Carlo estimates on one fixed sample set
-(common random numbers), so a run is deterministic given its seed.  Every
+fallback.  Newton runs coarse to fine (Merigot, Computer Graphics Forum
+2011): on sample sets of at least ``COARSE_FACTOR * COARSE_MIN_SAMPLES``
+it first adapts the weights on the first ``1/COARSE_FACTOR`` of the
+samples, and the full set starts from them.  Cell masses are Monte Carlo
+estimates on one fixed sample set (common random numbers), so a run is
+deterministic given its seed.  Every
 power score comes from one chunked GEMM kernel, ``_power_scores``, whose
 memory is linear in the number of sites.  The resulting couplings realize
 probabilistic analysis and synthesis: coefficient functions are sampled over
@@ -43,6 +47,12 @@ SCORE_ROWS = 4096
 # Share of the samples, those closest to a cell boundary by score gap, that
 # estimate the mass Jacobian.
 BOUNDARY_SHARE = 0.05
+# The coarse level is the first 1/COARSE_FACTOR of the samples; a larger
+# factor makes coarse evaluations cheaper but their weights a worse start.
+COARSE_FACTOR = 8
+# Fewest samples on the coarse level, so that its boundary band still holds
+# enough samples to estimate the mass Jacobian; smaller sets skip the level.
+COARSE_MIN_SAMPLES = 5_000
 # A Newton step is halved until it lowers the max mass error; below this
 # fraction of the full step the ascent takes over.
 MIN_NEWTON_STEP = 1.0 / 64.0
@@ -305,18 +315,20 @@ def _newton_direction(best: Array, second: Array, gap: Array, residual: Array) -
     return step if np.all(np.isfinite(step)) else None
 
 
-def _newton(fit: _MassFit, adapt_tol: float):
-    """Damped Newton from ``w = 0``: ``(w, cells, masses)`` on success.
+def _newton(fit: _MassFit, adapt_tol: float, w: Array):
+    """Damped Newton from ``w``: ``(w, cells, masses)`` on success.
 
     A step is accepted only when it strictly lowers the max mass error and
-    keeps every cell mass at least half the smallest initial mass or target
+    keeps every cell mass at least half the smallest mass at ``w`` or target
     (Kitagawa, Merigot and Thibert's condition: the mass of an empty cell
     does not respond to small weight changes, so the Jacobian is singular
     there).  Otherwise the step is halved, down to ``MIN_NEWTON_STEP``.
     Returns ``None`` when no step is defined or accepted, or the budget runs
-    out; the current point is then ``fit.best_weights``.
+    out (also before the first evaluation); the current point is then
+    ``fit.best_weights``.
     """
-    w = np.zeros(fit.targets.shape[0])
+    if fit.spent:
+        return None
     best, second, gap, masses, err = fit.nearest_two(w)
     floor = 0.5 * min(float(masses.min()), float(fit.targets.min()))
     while err > adapt_tol:
@@ -382,17 +394,22 @@ def adapt_weights(
     """Find power weights whose cell masses match the target weights.
 
     One sample set is drawn up front and every cell mass is counted on it.
-    Damped Newton steps from ``w = 0`` come first: the mass Jacobian is a
-    Monte Carlo graph Laplacian over the samples nearest a cell boundary,
-    solved in the gauge ``w[0] = 0``, and a step is halved until it strictly
-    lowers the max mass error.  When the Laplacian is singular or
+    Damped Newton steps come first: the mass Jacobian is a Monte Carlo
+    graph Laplacian over the samples nearest a cell boundary, solved in the
+    gauge ``w[0] = 0``, and a step is halved until it strictly lowers the
+    max mass error.  With at least ``COARSE_FACTOR * COARSE_MIN_SAMPLES``
+    samples, Newton first runs from ``w = 0`` to ``adapt_tol`` on the first
+    ``1/COARSE_FACTOR`` of them (a view, not a new draw), and Newton on the
+    full set starts from the coarse weights, or from ``w = 0`` when the
+    coarse level fails.  When the full-set Laplacian is singular or
     non-finite, or no step down to ``MIN_NEWTON_STEP`` is accepted, averaged
-    harmonic gradient ascent on the dual continues from the last Newton
-    point.  Terminates as soon as the max cell-mass error is at most
-    ``adapt_tol``.  ``max_iter`` bounds the number of mass evaluations,
-    Newton's trial steps included; on non-convergence a ``NumericError`` is
-    raised carrying the best weights seen (``best_weights``/``best_masses``
-    attributes).
+    harmonic gradient ascent on the dual continues from the best full-set
+    point.  Terminates as soon as the max cell-mass error on the full set is
+    at most ``adapt_tol``.  ``max_iter`` bounds the number of mass
+    evaluations on both levels together, Newton's trial steps included, and
+    keeps at least one for the full set; on non-convergence a
+    ``NumericError`` is raised carrying the best weights seen on the full
+    set (``best_weights``/``best_masses`` attributes).
     """
     sites, targets = _validate_adapt_inputs(sites, target_weights, reference)
     if sample_count < 1:
@@ -401,8 +418,18 @@ def adapt_weights(
         raise ValueError("max_iter must be positive")
     rng = np.random.default_rng(seed)
     samples = reference.sample(rng, sample_count)
-    fit = _MassFit(sites, targets, samples, max_iter)
-    found = _newton(fit, adapt_tol) or _harmonic_ascent(fit, fit.best_weights, adapt_tol)
+    start = np.zeros(sites.shape[0])
+    budget = max_iter
+    coarse_count = sample_count // COARSE_FACTOR
+    if coarse_count >= COARSE_MIN_SAMPLES:
+        # One evaluation is kept back: every result is measured on the full set.
+        coarse = _MassFit(sites, targets, samples[:coarse_count], max_iter - 1)
+        found = _newton(coarse, adapt_tol, start)
+        if found is not None:
+            start = found[0]
+        budget -= coarse.evaluations
+    fit = _MassFit(sites, targets, samples, budget)
+    found = _newton(fit, adapt_tol, start) or _harmonic_ascent(fit, fit.best_weights, adapt_tol)
     if found is not None:
         w, cells, masses = found
         return SemiDiscreteCoupling(

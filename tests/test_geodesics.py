@@ -234,6 +234,14 @@ def test_closed_form_profile_matches_per_measure_path_when_atoms_merge(weights):
     assert_matches_reference(mu, nu)
 
 
+def test_profile_certifies_its_plan_once(monkeypatch):
+    # Fails when the profile certifies the plan wasserstein2 has certified.
+    calls = counting(monkeypatch, pframes.transport, "kantorovich_potentials")
+    mu, nu = as_measure_pair(np.random.default_rng(22), 3, 8)
+    geodesic_profile(mu, nu)
+    assert calls == ["kantorovich_potentials"]
+
+
 def test_uniform_profile_makes_one_assignment_and_no_lp(monkeypatch):
     lp_calls = counting(monkeypatch, pframes.transport, "solve_lp")
     assignment_calls = counting(monkeypatch, pframes.transport, "hungarian")
@@ -244,7 +252,9 @@ def test_uniform_profile_makes_one_assignment_and_no_lp(monkeypatch):
 
 
 def test_profile_rejects_a_swapped_plan(monkeypatch):
-    # The plan a solver hands over is certified by the profile itself.
+    # wasserstein2 certifies its own plan; a plan that the returned
+    # potentials do not certify fails the half-plan certificates of the
+    # additivity guard.
     rng = np.random.default_rng(23)
     mu = random_frame_measure(rng, 2, 6, uniform=True)
     nu = random_frame_measure(rng, 2, 6, uniform=True)

@@ -241,3 +241,8 @@ def test_payload_validation():
 def test_pd_threshold_scale_awareness():
     assert pd_threshold(0.5) == 1e-10
     assert pd_threshold(100.0) == 1e-8
+
+
+def test_pd_threshold_on_arrays_matches_scalars():
+    highs = np.array([0.0, 0.5, 1.0, 1.0 + 1e-12, 100.0, 3e7])
+    assert np.array_equal(pd_threshold(highs), [1e-10 * max(1.0, float(h)) for h in highs])

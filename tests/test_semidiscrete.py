@@ -117,12 +117,13 @@ def test_power_cells_memory_is_bounded():
 
 
 def count_mass_evaluations(monkeypatch):
+    """Record the number of points each score-kernel call scores."""
     calls = []
     kernel = semidiscrete._power_scores
 
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
+    def counted(sites, weights, points):
+        calls.append(points.shape[0])
+        return kernel(sites, weights, points)
 
     monkeypatch.setattr(semidiscrete, "_power_scores", counted)
     return calls
@@ -162,6 +163,85 @@ def test_ascent_takes_over_when_newton_rejects_its_first_step(monkeypatch):
     assert len(starts) == 1
     assert np.all(starts[0][0] == 0.0) and starts[0][1] == 1 + trials
     assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
+
+
+def test_coarse_level_leaves_at_most_two_full_set_evaluations(monkeypatch):
+    # Fails without the coarse level, which scores the full set 4 times here.
+    rng = np.random.default_rng(31)
+    box = BoxReference(lower=np.zeros(3), upper=np.ones(3))
+    sites = spread_sites(rng, box, 16)
+    targets = rng.dirichlet(np.full(16, 5.0))
+    calls = count_mass_evaluations(monkeypatch)
+    coupling = adapt_weights(sites, targets, box, 100_000, seed=32)
+    assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
+    assert calls.count(100_000) <= 2
+    assert set(calls) == {100_000 // semidiscrete.COARSE_FACTOR, 100_000}
+
+
+def single_level(monkeypatch, *args, **kwargs):
+    """``adapt_weights`` with the coarse level switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(semidiscrete, "COARSE_MIN_SAMPLES", 10**9)
+        return adapt_weights(*args, **kwargs)
+
+
+def spread_instance(seed, n=8):
+    rng = np.random.default_rng(seed)
+    box = BoxReference(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    return spread_sites(rng, box, n), rng.dirichlet(np.full(n, 5.0)), box
+
+
+@pytest.mark.parametrize("count", [20_000, 39_999])
+def test_small_sample_sets_skip_the_coarse_level(monkeypatch, count):
+    sites, targets, box = spread_instance(33)
+    reference = single_level(monkeypatch, sites, targets, box, count, seed=34)
+    calls = count_mass_evaluations(monkeypatch)
+    coupling = adapt_weights(sites, targets, box, count, seed=34)
+    assert set(calls) == {count}
+    assert np.array_equal(coupling.diagram.weights, reference.diagram.weights)
+    assert np.array_equal(coupling.sample_cells, reference.sample_cells)
+
+
+def test_coarse_level_starts_at_forty_thousand_samples(monkeypatch):
+    sites, targets, box = spread_instance(33)
+    calls = count_mass_evaluations(monkeypatch)
+    coupling = adapt_weights(sites, targets, box, 40_000, seed=34)
+    assert calls[0] == semidiscrete.COARSE_MIN_SAMPLES
+    assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
+
+
+def test_failed_coarse_level_restarts_the_full_set_from_zero(monkeypatch):
+    sites, targets, box = spread_instance(35, n=16)
+    reference = single_level(monkeypatch, sites, targets, box, 80_000, seed=36)
+    starts = []
+    newton = semidiscrete._newton
+
+    def coarse_fails(fit, adapt_tol, w):
+        starts.append((fit.samples.shape[0], w.copy()))
+        found = newton(fit, adapt_tol, w)
+        return None if fit.samples.shape[0] < 80_000 else found
+
+    monkeypatch.setattr(semidiscrete, "_newton", coarse_fails)
+    coupling = adapt_weights(sites, targets, box, 80_000, seed=36)
+    assert [count for count, _ in starts] == [10_000, 80_000]
+    assert np.all(starts[1][1] == 0.0)
+    assert np.abs(coupling.achieved_masses - coupling.target_weights).max() <= 1e-3
+    assert np.array_equal(coupling.diagram.weights, reference.diagram.weights)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 7, 40])
+def test_max_iter_bounds_coarse_and_fine_evaluations(monkeypatch, max_iter):
+    # 40k samples cannot realize masses of 1/3 exactly, so the tolerance is
+    # unreachable on either level; the best point is measured on all samples.
+    calls = count_mass_evaluations(monkeypatch)
+    with pytest.raises(NumericError) as info:
+        adapt_weights(TWO_SITES, [1.0 / 3.0, 2.0 / 3.0], GaussianReference(2), 40_000, seed=6,
+                      adapt_tol=1e-9, max_iter=max_iter)
+    assert len(calls) == max_iter
+    assert 40_000 in calls
+    samples = GaussianReference(2).sample(np.random.default_rng(6), 40_000)
+    cells = assign_cells(TWO_SITES, info.value.best_weights, samples)
+    assert np.array_equal(np.bincount(cells, minlength=2) / 40_000, info.value.best_masses)
 
 
 def two_cliques(n, split):
