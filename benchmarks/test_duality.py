@@ -4,14 +4,18 @@ Run from the repository root (tier-1 collects only ``tests/``):
 
     python -m pytest benchmarks/test_duality.py --benchmark-only
 
-Three kinds of pair at n = 20 and 50 in 3-d, each with a known answer:
+Four kinds of pair at n = 20 and 50 in 3-d, each with a known answer:
 
 - ``canonical``: a frame with Dirichlet(2) weights and its canonical dual,
   which pair atom by atom (the diagonal coupling decides it);
 - ``split``: the same canonical dual with a third of its atoms split into two
   unequal copies around the atom, feasible with another cardinality (one LP);
 - ``obstruction``: a uniform zero-centroid frame against an equal-weight
-  measure on 3 points, which has no transport dual (one LP, a certificate).
+  measure on 3 points, which has no transport dual (the first-moment
+  certificate, built in closed form);
+- ``obstruction-lp``: the same frame against an equal-weight measure on 4
+  generic points, also without a transport dual, whose atoms lie on no
+  common hyperplane (one LP, a certificate).
 """
 
 import numpy as np
@@ -47,18 +51,19 @@ def split_dual(rng, mu):
 
 def pair(kind, n):
     rng = np.random.default_rng([n, len(kind)])
-    if kind == "obstruction":
+    if kind.startswith("obstruction"):
         atoms = rng.normal(size=(n, 3))
         mu = DiscreteMeasure(atoms=atoms - atoms.mean(axis=0), weights=np.full(n, 1.0 / n))
-        return mu, DiscreteMeasure(atoms=rng.normal(size=(3, 3)), weights=np.full(3, 1.0 / 3.0))
+        m = 4 if kind == "obstruction-lp" else 3
+        return mu, DiscreteMeasure(atoms=rng.normal(size=(m, 3)), weights=np.full(m, 1.0 / m))
     mu = frame(rng, n)
     return mu, canonical_dual(mu) if kind == "canonical" else split_dual(rng, mu)
 
 
 @pytest.mark.parametrize("n", [20, 50])
-@pytest.mark.parametrize("kind", ["canonical", "split", "obstruction"])
+@pytest.mark.parametrize("kind", ["canonical", "split", "obstruction", "obstruction-lp"])
 def test_find_transport_dual(benchmark, kind, n):
     mu, nu = pair(kind, n)
     result = benchmark(find_transport_dual, mu, nu)
-    want = FarkasCertificate if kind == "obstruction" else TransportPlan
+    want = FarkasCertificate if kind.startswith("obstruction") else TransportPlan
     assert isinstance(result, want)

@@ -9,7 +9,12 @@ The solver returns either an explicit coupling or a Farkas-type certificate
 ``(B, u, v)`` proving that no coupling exists.  When the two measures pair
 atom by atom (equal counts and weights, as for the canonical dual and the
 ``psi_h`` duals), the diagonal coupling is tried first and returned if it
-passes the identity check, so no LP is solved; otherwise one LP decides.
+passes the identity check, so no LP is solved.  The first-moment obstruction
+is decided next, also without an LP: when every atom of ``nu`` lies on the
+hyperplane ``<y, b> = 1``, any coupling with identity cross moment has
+``E_mu[x] = E[x <y, b>] = b``, so a frame whose mean misses ``b`` has no
+transport dual on that support, and the certificate is written down
+directly.  Every other pair is decided by one LP.
 
 Alongside the LP route, the deterministic constructions are provided: the
 canonical dual ``(S^{-1})_# mu``, the classical enumeration of duals of a
@@ -207,6 +212,26 @@ def deterministic_plan(measure: DiscreteMeasure, dual: DiscreteMeasure) -> Trans
     return TransportPlan(measure, dual, np.diag(measure.weights))
 
 
+def _moment_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure) -> FarkasCertificate | None:
+    """Certificate of the first-moment obstruction, or ``None``.
+
+    With ``b`` the least-squares solution of ``Psi b = 1`` and ``a = b -
+    E_mu[x]``, the triple ``B = -a b^T``, ``u = Phi a``, ``v = 0`` pairs to
+    ``(phi_i . a)(1 - psi_j . b)``, zero when the atoms of ``nu`` lie on the
+    hyperplane ``<y, b> = 1``, and combines to ``-|a|^2``.  It is scaled to
+    unit max-norm and returned only if it passes ``certificate_is_valid``;
+    otherwise (atoms off any such hyperplane, or a mean on it) the LP decides.
+    """
+    b = np.linalg.lstsq(nu.atoms, np.ones(nu.count), rcond=None)[0]
+    a = b - mu.weights @ mu.atoms
+    if not a.any():
+        return None
+    B, u = -np.outer(a, b), mu.atoms @ a
+    peak = max(float(np.abs(B).max()), float(np.abs(u).max()))
+    cert = FarkasCertificate(B=B / peak, u=u / peak, v=np.zeros(nu.count))
+    return cert if certificate_is_valid(cert, mu, nu) else None
+
+
 def find_transport_dual(
     mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> TransportPlan | FarkasCertificate:
@@ -220,9 +245,14 @@ def find_transport_dual(
     When the merged measures have equal atom counts and weights equal atom by
     atom, the diagonal coupling (``deterministic_plan``) is tried first and
     returned if it passes ``verify_transport_dual``: the returned coupling
-    may then differ from the vertex an LP would pick.  Every other pair, and
-    a paired one whose diagonal coupling fails the check, is decided by one
-    ``solve_lp`` call without an objective.
+    may then differ from the vertex an LP would pick.  Next, when the atoms
+    of ``nu`` lie on a hyperplane ``<y, b> = 1`` that the mean of ``mu``
+    misses (for instance ``nu`` on ``d`` linearly independent atoms, with
+    any weights, against a frame whose mean is not ``Psi^{-1} 1``), the
+    first-moment certificate is built directly and returned once it passes
+    ``certificate_is_valid``.  Every other pair, and a paired one whose
+    diagonal coupling fails the check, is decided by one ``solve_lp`` call
+    without an objective.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -236,6 +266,9 @@ def find_transport_dual(
         plan = deterministic_plan(mu_m, nu_m)
         if verify_transport_dual(plan):
             return plan
+    cert = _moment_certificate(mu_m, nu_m)
+    if cert is not None:
+        return cert
 
     # Row-major vec(A): the duality rows are kron(Phi^T, Psi^T), then the
     # marginal rows.
@@ -263,12 +296,15 @@ def find_transport_dual(
 
 
 def zero_centroid_obstruction(measure: DiscreteMeasure) -> bool:
-    """Zero-sum test triggering the equal-weight dual obstruction.
+    """Zero-sum test triggering the ``d``-point dual obstruction.
 
-    For a uniformly weighted frame whose atoms sum to zero, no equal-weight
-    transport dual supported on exactly ``d`` points exists; this predicate
-    reports whether the zero-centroid hypothesis holds.  The input must be
-    uniformly weighted.
+    A frame whose atoms sum to zero has no transport dual supported on ``d``
+    linearly independent points, whatever that dual's weights: the points lie
+    on the hyperplane ``<y, b> = 1`` with ``b = Psi^{-1} 1 != 0``, and a dual
+    coupling would make ``b`` the frame's mean.  ``find_transport_dual``
+    builds the certificate for such pairs directly.  This predicate reports
+    whether the zero-centroid hypothesis holds; the input must be uniformly
+    weighted.
     """
     n = measure.count
     if float(np.abs(measure.weights - 1.0 / n).max()) > 1e-12:

@@ -456,6 +456,13 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
     g0 = write_json(tmp_path / "g0.json", {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]})
     g1 = write_json(tmp_path / "g1.json", {"mean": [0.0, 0.0], "cov": [[4.0, 0.0], [0.0, 1.0]]})
     sites = write_json(tmp_path / "sites.json", sites_payload())
+    mb = write_json(
+        tmp_path / "mb.json",
+        {"dim": 2, "atoms": MERCEDES_BENZ.tolist(), "weights": [1 / 3, 1 / 3, 1 / 3]},
+    )
+    two = write_json(
+        tmp_path / "two.json", {"dim": 2, "atoms": [[0.3, 1.1], [-0.8, 0.2]], "weights": [0.3, 0.7]}
+    )
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     commands = [
@@ -463,6 +470,9 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
         ["canonical-dual", m, "--out", str(tmp_path / "dual.json")],
         # A frame and its canonical dual pair atom by atom: no LP is solved.
         ["transport-dual", m, str(tmp_path / "dual.json")],
+        # A zero-centroid frame against 2 points: the first-moment
+        # certificate decides it.
+        ["transport-dual", mb, two],
         ["gaussian-w2", g0, g1],
         ["gaussian-path", g0, g1, "--grid", "3"],
         ["semidiscrete-adapt", sites, "--samples", "2000", "--seed", "1"],
@@ -477,7 +487,7 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
         "if m.startswith(('scipy.optimize', 'scipy.sparse')))]))"
     )
     codes, loaded = run_child(code, json.dumps(commands))
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 2]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2]
     assert loaded == []
 
 

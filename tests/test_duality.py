@@ -348,23 +348,85 @@ def test_permuted_canonical_dual_is_decided_by_one_lp(monkeypatch):
     assert calls == ["solve_lp"]
 
 
-@pytest.mark.parametrize("kind", ["mercedes-benz", "zero-centroid"])
-def test_infeasible_pair_makes_one_highs_solve(monkeypatch, kind):
+# Obstructions on d points are decided in closed form; a zero-centroid frame
+# against d + 1 generic points is not, and takes the one elastic LP.
+HIGHS_SOLVES = {"mercedes-benz": 0, "zero-centroid": 0, "off-hyperplane": 1}
+
+
+@pytest.mark.parametrize("kind", list(HIGHS_SOLVES))
+def test_infeasible_pair_makes_at_most_one_highs_solve(monkeypatch, kind):
     import scipy.optimize
 
     rng = np.random.default_rng(21)
     if kind == "mercedes-benz":
         mu = mercedes_benz()
         nu = DiscreteMeasure(atoms=rng.normal(size=(2, 2)), weights=[0.5, 0.5])
-    else:
+    elif kind == "zero-centroid":
         atoms = rng.normal(size=(12, 3))
         mu = DiscreteMeasure(atoms=atoms - atoms.mean(axis=0), weights=np.full(12, 1.0 / 12.0))
         nu = DiscreteMeasure(atoms=rng.normal(size=(3, 3)), weights=np.full(3, 1.0 / 3.0))
+    else:
+        atoms = rng.normal(size=(6, 2))
+        mu = DiscreteMeasure(atoms=atoms - atoms.mean(axis=0), weights=np.full(6, 1.0 / 6.0))
+        nu = DiscreteMeasure(atoms=rng.normal(size=(3, 2)), weights=np.full(3, 1.0 / 3.0))
     calls = counting(monkeypatch, scipy.optimize, "linprog", "milp")
     result = find_transport_dual(mu, nu)
     assert isinstance(result, FarkasCertificate)
     assert certificate_is_valid(result, mu, nu)
-    assert len(calls) == 1
+    assert len(calls) == HIGHS_SOLVES[kind]
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3]),
+    dirichlet=st.booleans(),
+    centred=st.booleans(),
+)
+def test_moment_certificate_agrees_with_the_lp(seed, dim, dirichlet, centred):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(dim, 13))
+    weights = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+    atoms = rng.normal(size=(n, dim))
+    if centred:
+        atoms -= weights @ atoms
+    mu = DiscreteMeasure(atoms=atoms, weights=weights)
+    assume(np.linalg.eigvalsh(frame_operator(mu))[0] > 1e-3)
+    nu = DiscreteMeasure(atoms=rng.normal(size=(dim, dim)), weights=rng.dirichlet(np.ones(dim)))
+    result = find_transport_dual(mu, nu)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pframes.duality, "_moment_certificate", lambda mu, nu: None)
+        assert type(result) is type(find_transport_dual(mu, nu))
+    if isinstance(result, TransportPlan):
+        assert_dual_plan(result, mu, nu)
+    else:
+        pairings = mu.atoms @ result.B @ nu.atoms.T + result.u[:, None] + result.v[None, :]
+        combined = np.trace(result.B) + result.u @ mu.weights + result.v @ nu.weights
+        assert pairings.min() >= -CERTIFICATE_TOL
+        assert combined <= -CERTIFICATE_TOL
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_split_dual_on_the_hyperplane_falls_through_to_the_lp(monkeypatch, seed, dim):
+    # A frame on d atoms and its canonical dual, with one frame atom split
+    # into two copies around it: the dual's atoms lie on the hyperplane and
+    # the frame's mean is on it too, so no first-moment certificate exists
+    # and the LP finds the coupling.
+    rng = np.random.default_rng(seed)
+    mu0 = random_frame_measure(rng, dim, dim)
+    nu = canonical_dual(mu0)
+    share, delta = rng.uniform(0.2, 0.8), 0.5 * rng.normal(size=dim)
+    atoms = np.vstack(
+        [mu0.atoms[1:], mu0.atoms[0] + (1.0 - share) * delta, mu0.atoms[0] - share * delta]
+    )
+    weights = np.concatenate([mu0.weights[1:], mu0.weights[0] * np.array([share, 1.0 - share])])
+    mu = DiscreteMeasure(atoms=atoms, weights=weights)
+    calls = counting(monkeypatch, pframes.duality, "solve_lp")
+    result = find_transport_dual(mu, nu)
+    assert isinstance(result, TransportPlan)
+    assert_dual_plan(result, mu, nu)
+    assert calls == ["solve_lp"]
 
 
 @settings(max_examples=80)
@@ -374,8 +436,8 @@ def test_infeasible_pair_makes_one_highs_solve(monkeypatch, kind):
 )
 def test_mixed_pairs_agree_with_enumeration_oracle(seed, kind):
     # Paired duals take the diagonal coupling; permuted duals and random
-    # measures with paired weights fail it and go to the LP, as do
-    # zero-centroid obstructions.
+    # measures with paired weights fail it and go to the LP; zero-centroid
+    # obstructions get the first-moment certificate.
     rng = np.random.default_rng(seed)
     if kind == "obstructed":
         atoms = rng.normal(size=(3, 2))
