@@ -29,8 +29,14 @@ import numpy as np
 
 from . import linalg
 from .errors import NotAFrameError, NumericError
-from .measures import DiscreteMeasure, frame_operator, frame_report, merge_duplicate_atoms
-from .optim import LinearProgram, solve_lp
+from .measures import (
+    DiscreteMeasure,
+    frame_operator,
+    frame_report,
+    merge_duplicate_atoms,
+    weights_equal,
+)
+from .optim import LinearProgram, marginal_rows, solve_lp
 
 Array = np.ndarray
 
@@ -39,8 +45,8 @@ PLAN_TOL = 1e-8
 # identity check runs looser than LP feasibility.
 PRODUCT_TOL = 1e-7
 CERTIFICATE_TOL = 1e-8
-# Two measures pair atom by atom when their weights agree to this.
-PAIRED_WEIGHT_TOL = 1e-12
+# A constructed dual's cross moment must match the identity to this.
+DUAL_IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,36 @@ def _require_frame(measure: DiscreteMeasure) -> None:
         raise NotAFrameError("measure support does not span the space")
 
 
+def _dual_map(phi: Array, s: Array, h=None, weights: Array | None = None, what: str = "") -> Array:
+    """Rows ``S^{-1} phi_i + h_i - sum_j w_j <S^{-1} phi_i, phi_j> h_j``.
+
+    Without ``h`` this returns ``S^{-1} phi_i`` with nothing added, so a
+    ``-0.0`` stays ``-0.0``; without ``weights`` every ``w_j`` is 1.  ``h``
+    must match ``phi`` in shape and be finite; ``what`` names it in the
+    errors.
+    """
+    sinv_phi = linalg.solve_linear(s, phi.T).T
+    if h is None:
+        return sinv_phi
+    h = np.asarray(h, dtype=float)
+    if h.shape != phi.shape:
+        raise ValueError(f"{what} must have shape {phi.shape}, got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"{what} contain non-finite entries")
+    gram = sinv_phi @ phi.T  # gram[i, j] = <S^{-1} phi_i, phi_j>
+    if weights is not None:
+        gram = gram * weights[None, :]
+    return sinv_phi + h - gram @ h
+
+
+def _require_dual_identity(measure: DiscreteMeasure, atoms: Array, message: str) -> None:
+    """Raise ``NumericError`` unless the diagonal coupling of the measure
+    with ``atoms`` has cross moment ``I`` to ``DUAL_IDENTITY_TOL``."""
+    cross = measure.atoms.T @ (measure.weights[:, None] * atoms)
+    if float(np.abs(cross - np.eye(measure.dim)).max()) > DUAL_IDENTITY_TOL:
+        raise NumericError(message)
+
+
 def canonical_dual(measure: DiscreteMeasure) -> DiscreteMeasure:
     """Pushforward of the measure by the inverse of its frame operator.
 
@@ -139,11 +175,10 @@ def canonical_dual(measure: DiscreteMeasure) -> DiscreteMeasure:
     identity, which is re-checked numerically before returning.
     """
     _require_frame(measure)
-    s = frame_operator(measure)
-    dual_atoms = linalg.solve_linear(s, measure.atoms.T).T
-    gram = measure.atoms.T @ (measure.weights[:, None] * dual_atoms)
-    if float(np.abs(gram - np.eye(measure.dim)).max()) > 1e-8:
-        raise NumericError("canonical dual identity check failed (ill-conditioned frame)")
+    dual_atoms = _dual_map(measure.atoms, frame_operator(measure))
+    _require_dual_identity(
+        measure, dual_atoms, "canonical dual identity check failed (ill-conditioned frame)"
+    )
     return DiscreteMeasure(atoms=dual_atoms, weights=measure.weights)
 
 
@@ -161,16 +196,8 @@ def dual_family_member(measure: DiscreteMeasure, offsets) -> DiscreteMeasure:
     rows of the pseudoinverse's transpose).
     """
     _require_frame(measure)
-    h = np.asarray(offsets, dtype=float)
     phi = measure.atoms
-    if h.shape != phi.shape:
-        raise ValueError(f"offsets must have shape {phi.shape}, got {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("offsets contain non-finite entries")
-    s = phi.T @ phi
-    sinv_phi = linalg.solve_linear(s, phi.T).T  # rows S^{-1} phi_i
-    gram = sinv_phi @ phi.T  # gram[i, k] = <S^{-1} phi_i, phi_k>
-    atoms = sinv_phi + h - gram @ h
+    atoms = _dual_map(phi, phi.T @ phi, offsets, what="offsets")
     return DiscreteMeasure(atoms=atoms, weights=measure.weights)
 
 
@@ -184,30 +211,16 @@ def psi_h_dual(measure: DiscreteMeasure, h_values) -> DiscreteMeasure:
     before returning.  Zero perturbation reproduces :func:`canonical_dual`.
     """
     _require_frame(measure)
-    h = np.asarray(h_values, dtype=float)
-    phi = measure.atoms
-    if h.shape != phi.shape:
-        raise ValueError(f"h values must have shape {phi.shape}, got {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("h values contain non-finite entries")
-    s = frame_operator(measure)
-    sinv_phi = linalg.solve_linear(s, phi.T).T
-    weighted_gram = (sinv_phi @ phi.T) * measure.weights[None, :]
-    atoms = sinv_phi + h - weighted_gram @ h
+    atoms = _dual_map(measure.atoms, frame_operator(measure), h_values, measure.weights, "h values")
     dual = DiscreteMeasure(atoms=atoms, weights=measure.weights)
-    cross = phi.T @ (measure.weights[:, None] * atoms)
-    if float(np.abs(cross - np.eye(measure.dim)).max()) > 1e-8:
-        raise NumericError("psi_h duality identity check failed")
+    _require_dual_identity(measure, atoms, "psi_h duality identity check failed")
     return dual
 
 
 def deterministic_plan(measure: DiscreteMeasure, dual: DiscreteMeasure) -> TransportPlan:
     """Diagonal coupling pairing atom ``i`` of the measure with atom ``i`` of
-    its image (both must share weights atomwise, to ``PAIRED_WEIGHT_TOL``)."""
-    if (
-        dual.count != measure.count
-        or float(np.abs(dual.weights - measure.weights).max()) > PAIRED_WEIGHT_TOL
-    ):
+    its image (both must share weights atomwise: ``weights_equal``)."""
+    if dual.count != measure.count or not weights_equal(dual.weights, measure.weights):
         raise ValueError("deterministic coupling requires atomwise matching weights")
     return TransportPlan(measure, dual, np.diag(measure.weights))
 
@@ -262,7 +275,7 @@ def find_transport_dual(
     phi, alpha = mu_m.atoms, mu_m.weights
     psi, beta = nu_m.atoms, nu_m.weights
     n, m, d = mu_m.count, nu_m.count, mu_m.dim
-    if n == m and float(np.abs(alpha - beta).max()) <= PAIRED_WEIGHT_TOL:
+    if n == m and weights_equal(alpha, beta):
         plan = deterministic_plan(mu_m, nu_m)
         if verify_transport_dual(plan):
             return plan
@@ -272,13 +285,7 @@ def find_transport_dual(
 
     # Row-major vec(A): the duality rows are kron(Phi^T, Psi^T), then the
     # marginal rows.
-    kprime = np.vstack(
-        [
-            np.kron(phi.T, psi.T),
-            np.kron(np.eye(n), np.ones((1, m))),
-            np.kron(np.ones((1, n)), np.eye(m)),
-        ]
-    )
+    kprime = np.vstack([np.kron(phi.T, psi.T), marginal_rows(n, m)])
     tprime = np.concatenate([np.eye(d).ravel(), alpha, beta])
     outcome = solve_lp(LinearProgram(constraint_matrix=kprime, rhs=tprime))
 
@@ -306,8 +313,7 @@ def zero_centroid_obstruction(measure: DiscreteMeasure) -> bool:
     whether the zero-centroid hypothesis holds; the input must be uniformly
     weighted.
     """
-    n = measure.count
-    if float(np.abs(measure.weights - 1.0 / n).max()) > 1e-12:
+    if not weights_equal(measure.weights, 1.0 / measure.count):
         raise ValueError("zero-centroid obstruction applies to uniform weights only")
     return bool(float(np.abs(measure.atoms.sum(axis=0)).max()) <= 1e-10)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .duality import TransportPlan
+from .duality import DUAL_IDENTITY_TOL, TransportPlan, _dual_map
 from .errors import NotAFrameError, NumericError
 from .measures import (
     DiscreteMeasure,
@@ -39,7 +39,9 @@ GEODESIC_IDENTITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GeodesicProfile:
-    """Frame bounds and second moments sampled along a geodesic."""
+    """Frame bounds and second moments sampled along a geodesic.
+    ``all_frames`` means a frame at every grid point, not between grid
+    points (ROADMAP item 9)."""
 
     ts: Array
     lower_bounds: Array
@@ -120,15 +122,18 @@ def geodesic_profile(
     """Frame bounds along the geodesic between two discrete frames.
 
     The optimal plan is computed once; ``wasserstein2`` certifies it by its
-    own Kantorovich potentials (``transport.certify_plan``) and returns
+    own Kantorovich potentials (``optim.certify_potentials``) and returns
     them.  Over its support, with masses ``p_k`` on pairs ``(x_k, y_k)``,
     every interpolant has the frame operator ``S(t) = (1-t)^2 A + t(1-t)
     (B + B^T) + t^2 C`` for the moment matrices ``A = sum p_k x_k x_k^T``,
-    ``B = sum p_k x_k y_k^T`` and ``C = sum p_k y_k y_k^T``; one batched ``eigvalsh`` over the grid gives the bounds,
-    with ``frame_report``'s rules, and the second moment is the trace.  The
-    constant-speed identity ``W(mu0, mu_t) + W(mu_t, mu1) = W(mu0, mu1)`` is
-    checked at up to three interior grid points, each half certified by the
-    potentials ``t u`` and ``(1-t) v`` carried along the geodesic.
+    ``B = sum p_k x_k y_k^T`` and ``C = sum p_k y_k y_k^T``; one batched
+    ``eigvalsh`` over the grid gives the bounds, with ``frame_report``'s
+    rules, and the second moment is the trace.  ``all_frames`` holds when
+    every grid point is a frame; ``S(t)`` between grid points is not checked
+    (ROADMAP item 9).  The constant-speed identity ``W(mu0, mu_t) + W(mu_t,
+    mu1) = W(mu0, mu1)`` is checked at up to three interior grid points, each
+    half certified by the potentials ``t u`` and ``(1-t) v`` carried along
+    the geodesic.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
@@ -214,10 +219,9 @@ def coherence_identity_test(phi: Array, psi: Array) -> bool:
     norms = np.linalg.norm(phi, axis=1)
     if float(np.abs(norms - 1.0).max()) > 1e-10:
         raise ValueError("phi atoms must be unit norm")
-    if float(np.abs(psi.T @ phi - np.eye(d)).max()) > 1e-8:
+    if float(np.abs(psi.T @ phi - np.eye(d)).max()) > DUAL_IDENTITY_TOL:
         raise ValueError("psi is not a dual of phi (Psi^T Phi != I)")
-    s = phi.T @ phi
-    sinv_phi = linalg.solve_linear(s, phi.T).T
+    sinv_phi = _dual_map(phi, phi.T @ phi)
     z = psi - sinv_phi
     gram = phi @ sinv_phi.T  # gram[i, j] = <phi_i, S^{-1} phi_j>
     separations = gram.diagonal()[:, None] - gram

@@ -21,12 +21,22 @@ Array = np.ndarray
 
 # Constructors renormalize weights when |sum - 1| <= this; reject beyond.
 WEIGHT_SUM_TOL = 1e-6
+# Weights that differ atom by atom by at most this count as equal: uniform
+# measures take the assignment route, and equal-weight pairs the diagonal
+# coupling.
+EQUAL_WEIGHT_TOL = 1e-12
 
 
 def pd_threshold(lambda_max: float | Array) -> float | Array:
     """Scale-aware cutoff below which a frame operator counts as singular;
     elementwise on an array of largest eigenvalues."""
     return 1e-10 * np.maximum(1.0, lambda_max)
+
+
+def weights_equal(weights: Array, other: float | Array) -> bool:
+    """Whether ``weights`` match ``other`` (an array, or one value for every
+    atom) atom by atom to ``EQUAL_WEIGHT_TOL``."""
+    return bool(float(np.abs(weights - other).max()) <= EQUAL_WEIGHT_TOL)
 
 
 def _readonly(a: Array) -> Array:
@@ -116,7 +126,7 @@ class GaussianMeasure:
             raise ValueError("mean/covariance contain non-finite entries")
         linalg.require_symmetric(cov, "covariance")
         w = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-        if w[0] < -1e-10 * max(1.0, float(w[-1])):
+        if w[0] < -pd_threshold(float(w[-1])):
             raise ValueError(f"covariance is not PSD: lambda_min={w[0]:.3e}")
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "covariance", _readonly(0.5 * (cov + cov.T)))

@@ -8,8 +8,9 @@ objective it solves one LP, the elastic LP ``min 1^T (s+ + s-)  s.t.  K a +
 s+ - s- = t``: zero slack (up to the feasibility tolerance) gives the
 solution, positive slack gives a Farkas certificate ``y`` satisfying ``y^T K
 >= 0`` and ``y^T t < 0`` (up to the stated tolerances), read off its equality
-duals.  With an objective, ``milp`` optimizes, and the elastic LP runs only
-to certify a system ``milp`` reports infeasible.  Feasible systems come back
+duals.  With an objective, ``milp`` optimizes, and any status but optimal is
+a ``NumericError``: W2, the one such caller, solves over a transportation
+polytope, never empty and with its cost bounded.  Feasible systems come back
 with a solution whose nonnegativity and residual are re-checked here; a point
 that HiGHS accepts at its default tolerance but that misses a bound or a row
 by more than round-off is re-solved once at the tightest tolerance.  The
@@ -24,8 +25,9 @@ dual feasibility and a zero primal-dual gap, both to ``OPTIMALITY_RTOL``.
 ``hungarian`` makes one ``linear_sum_assignment`` solve (Crouse, IEEE TAES
 2016), takes potentials for its permutation from the same routine, and
 returns the lexicographically smallest permutation on edges whose reduced
-cost is at most ``tol / n`` (``tol = 1e-9 (1 + |best|)``); it fixes rows in
-order, rerouting the rows below along one alternating path of such edges.
+cost is at most ``tol / n`` (``tol = ASSIGNMENT_RTOL (1 + |best|)``); it fixes
+rows in order, rerouting the rows below along one alternating path of such
+edges.
 
 scipy's solvers are imported on first use, inside the functions that call
 them, so importing the package (and every CLI command that solves no LP or
@@ -59,6 +61,8 @@ OPTIMALITY_RTOL = 1e-8
 # tolerance (1e-7 by default) as feasible; this is the tightest it accepts.
 # A returned LP entry above -HIGHS_TIGHT_TOL is round-off and reads as zero.
 HIGHS_TIGHT_TOL = 1e-10
+# Assignment values within ASSIGNMENT_RTOL * (1 + |value|) of each other tie.
+ASSIGNMENT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,13 @@ class LpOutcome:
     status: str
     solution: Array | None = None
     dual_certificate: Array | None = None
+
+
+def marginal_rows(n: int, m: int) -> Array:
+    """Row sums, then column sums, of an ``n x m`` coupling flattened row-major:
+    the ``n + m`` equality rows of the transportation polytope ``DS(alpha,
+    beta)``, ahead of the right-hand side ``[alpha, beta]``."""
+    return np.vstack([np.kron(np.eye(n), np.ones((1, m))), np.kron(np.ones((1, n)), np.eye(m))])
 
 
 def _elastic_lp(kmat: Array, rhs: Array) -> tuple[Array | None, Array | None]:
@@ -123,8 +134,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     either a nonnegative solution with residual below the feasibility
     tolerance, or a certificate vector proving no such solution exists.
     Without an objective this is one solve, of the elastic LP; with one it
-    is one ``milp`` solve, followed by the elastic LP only when ``milp``
-    reports the system infeasible.
+    is one ``milp`` solve, and a system that ``milp`` does not solve to
+    optimality (infeasible, unbounded or failed) raises ``NumericError``.
     """
     from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
@@ -138,6 +149,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     cost = np.zeros(n)
     if lp.objective is None:
         solution, cert = _elastic_lp(kmat, rhs)
+        if cert is not None:
+            return LpOutcome(status="infeasible", dual_certificate=cert)
     else:
         cost = np.asarray(lp.objective, dtype=float)
         if cost.shape != (n,):
@@ -150,18 +163,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
             constraints=LinearConstraint(kmat, rhs, rhs),
             options={"presolve": False},
         )
-        if res.status == 2:
-            solution, cert = _elastic_lp(kmat, rhs)
-            if cert is None:
-                raise NumericError("LP solver reported infeasible, but the elastic LP has no slack")
-        elif res.status == 3:
-            raise NumericError("objective is unbounded below on the feasible set")
-        elif res.status != 0:
+        if res.status != 0:
             raise NumericError(f"LP solver failed: {res.message}")
-        else:
-            solution, cert = np.array(res.x, dtype=float), None
-    if cert is not None:
-        return LpOutcome(status="infeasible", dual_certificate=cert)
+        solution = np.array(res.x, dtype=float)
 
     rhs_scale = 1.0 + float(np.abs(rhs).max())
     if (
@@ -262,9 +266,9 @@ def hungarian(cost) -> Array:
 
     One ``linear_sum_assignment`` solve gives an optimal permutation; its
     Kantorovich potentials ``(u, v)`` mark an edge tight when ``c_ij - u_i -
-    v_j <= tol / n``, ``tol = 1e-9 (1 + |best|)``.  Every optimal permutation
-    is on tight edges (up to round-off), and the lexicographically smallest
-    one on tight edges, returned here, costs at most ``best + tol``
+    v_j <= tol / n``, ``tol = ASSIGNMENT_RTOL (1 + |best|)``.  Every optimal
+    permutation is on tight edges (up to round-off), and the lexicographically
+    smallest one on tight edges, returned here, costs at most ``best + tol``
     (re-checked).  Row ``i`` moves from its column ``t`` to the smallest
     tight ``j < t`` whose row below ``i`` reaches ``t`` by an alternating
     path through the rows below (Berge: exactly then they still match),
@@ -276,7 +280,7 @@ def hungarian(cost) -> Array:
     n = c.shape[0]
     rows, perm = linear_sum_assignment(c)
     best = float(c[rows, perm].sum())
-    tol = 1e-9 * (1.0 + abs(best))
+    tol = ASSIGNMENT_RTOL * (1.0 + abs(best))
     u, v = kantorovich_potentials(c, np.eye(n, dtype=bool)[perm])
     tight = c - u[:, None] - v[None, :] <= tol / n
 

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import TransportPlan
-from .errors import NumericError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, weights_equal
 from .optim import (
+    ASSIGNMENT_RTOL,
     MASS_EPS,
     LinearProgram,
     certify_potentials,
     hungarian,
     kantorovich_potentials,
+    marginal_rows,
     solve_lp,
 )
 
@@ -47,63 +48,36 @@ def squared_distance_matrix(xs: Array, ys: Array) -> Array:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _is_uniform(measure: DiscreteMeasure) -> bool:
-    return bool(np.abs(measure.weights - 1.0 / measure.count).max() <= 1e-12)
-
-
-def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: Array) -> tuple[Array, float]:
-    n, m = mu.count, nu.count
-    constraints = np.vstack(
-        [np.kron(np.eye(n), np.ones((1, m))), np.kron(np.ones((1, n)), np.eye(m))]
-    )
-    rhs = np.concatenate([mu.weights, nu.weights])
-    outcome = solve_lp(
-        LinearProgram(constraint_matrix=constraints, rhs=rhs, objective=cost.ravel())
-    )
-    if outcome.status != "feasible":  # marginals always admit the product coupling
-        raise NumericError("transportation LP reported infeasible")
-    coupling = outcome.solution.reshape(n, m)
-    return coupling, float((coupling * cost).sum())
-
-
-def certify_plan(plan: TransportPlan) -> tuple[Array, Array]:
-    """Kantorovich potentials ``(u, v)`` proving ``plan`` W2-optimal.
-
-    The potentials come from the plan's support (entries above ``MASS_EPS``);
-    a plan they do not certify raises ``NumericError`` naming the minimum
-    slack and the primal-dual gap.
-    """
-    cost = squared_distance_matrix(plan.row_measure.atoms, plan.col_measure.atoms)
-    u, v = kantorovich_potentials(cost, plan.coupling > MASS_EPS)
-    certify_potentials(
-        cost, plan.coupling, plan.row_measure.weights, plan.col_measure.weights, u, v,
-        "transport plan",
-    )
-    return u, v
-
-
 def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """Optimal transport between two discrete measures for squared cost.
 
-    Uniform inputs of equal cardinality take the assignment route, all others
-    the LP; either plan must pass ``certify_plan``, and its potentials come
-    back with it.
+    Uniform inputs of equal cardinality (``weights_equal`` to ``1 / n``)
+    take the assignment route, all others the LP.  Either plan is certified
+    on the one cost matrix: Kantorovich potentials from its support (entries
+    above ``MASS_EPS``) must pass ``certify_potentials``, or ``NumericError``
+    names the minimum slack and the primal-dual gap; the potentials come back
+    with the plan.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     cost = squared_distance_matrix(mu.atoms, nu.atoms)
+    n, m = mu.count, nu.count
     sigma = None
-    if mu.count == nu.count and _is_uniform(mu) and _is_uniform(nu):
-        n = mu.count
+    if n == m and weights_equal(mu.weights, 1.0 / n) and weights_equal(nu.weights, 1.0 / n):
         sigma = hungarian(cost)
         value = float(cost[np.arange(n), sigma].sum() / n)
         coupling = np.zeros((n, n))
         coupling[np.arange(n), sigma] = 1.0 / n
     else:
-        coupling, value = _solve_transport_lp(mu, nu, cost)
+        rhs = np.concatenate([mu.weights, nu.weights])
+        outcome = solve_lp(LinearProgram(marginal_rows(n, m), rhs, objective=cost.ravel()))
+        coupling = outcome.solution.reshape(n, m)
+        value = float((coupling * cost).sum())
     plan = TransportPlan.from_solver(mu, nu, coupling)
+    u, v = kantorovich_potentials(cost, plan.coupling > MASS_EPS)
+    certify_potentials(cost, plan.coupling, mu.weights, nu.weights, u, v, "transport plan")
     return OtSolution(
-        distance_squared=max(value, 0.0), plan=plan, permutation=sigma, potentials=certify_plan(plan)
+        distance_squared=max(value, 0.0), plan=plan, permutation=sigma, potentials=(u, v)
     )
 
 
@@ -141,7 +115,7 @@ def is_cyclically_monotone(pairs) -> tuple[bool, Array | None]:
     identity_value = float(np.trace(gains))
     sigma = hungarian(-gains)
     best_value = float(gains[np.arange(len(pairs)), sigma].sum())
-    tol = 1e-9 * (1.0 + abs(identity_value) + abs(best_value))
+    tol = ASSIGNMENT_RTOL * (1.0 + abs(identity_value) + abs(best_value))
     if best_value > identity_value + tol:
         return False, sigma
     return True, None

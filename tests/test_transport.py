@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 from helpers import (
     brute_force_assignment,
     brute_force_monotone,
+    counting,
     ipf_plan,
     random_frame_measure,
     with_row_residual,
@@ -163,6 +164,17 @@ def test_uniform_w2_solves_no_lp(monkeypatch):
     rng = np.random.default_rng(9)
     wasserstein2(random_measure(rng, 3, 40, uniform=True), random_measure(rng, 3, 40, uniform=True))
     assert calls == []
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["assignment", "lp"])
+def test_one_cost_matrix_per_w2(monkeypatch, uniform):
+    # The plan is solved and certified on the same squared-distance matrix.
+    rng = np.random.default_rng(12)
+    mu, nu = random_measure(rng, 3, 7, uniform=uniform), random_measure(rng, 3, 7, uniform=True)
+    calls = counting(monkeypatch, pframes.transport, "squared_distance_matrix")
+    solution = wasserstein2(mu, nu)
+    assert (solution.permutation is not None) == uniform
+    assert calls == ["squared_distance_matrix"]
 
 
 def test_swapped_assignment_is_a_numeric_error(monkeypatch):
