@@ -7,9 +7,11 @@ Run from the repository root (tier-1 collects only ``tests/``):
 Every round is a fresh interpreter, so the times include interpreter start
 and imports: ``python -c "import pframes.cli"``, then ``python -m
 pframes.cli`` on ``frame-report`` (a 3-atom 2-d frame), ``transport-dual``
-(that frame and its canonical dual, which pair atom by atom, so no LP) and
-``semidiscrete-adapt`` (3 sites on a 2-d Gaussian, 20k samples), on fixture
-files in ``tmp_path``.
+(that frame and its canonical dual, which pair atom by atom, so no LP),
+``geodesic-profile`` (the same pair, whose identity pairing is certified
+without the assignment solver), ``monotone`` (20 optimally paired 2-d
+points, also decided without it) and ``semidiscrete-adapt`` (3 sites on a
+2-d Gaussian, 20k samples), on fixture files in ``tmp_path``.
 """
 
 import json
@@ -26,6 +28,10 @@ ANGLES = [math.pi / 2 + 2 * math.pi * k / 3 for k in range(3)]
 FRAME = {"dim": 2, "atoms": [[math.cos(a), math.sin(a)] for a in ANGLES], "weights": [1 / 3] * 3}
 # The frame operator of FRAME is I / 2, so its canonical dual doubles every atom.
 DUAL = {**FRAME, "atoms": [[2 * x for x in atom] for atom in FRAME["atoms"]]}
+# 20 points on a circle paired with their images under x -> A x, A positive
+# definite: the gradient of a convex quadratic, so cyclically monotone.
+POINTS = [[math.cos(0.3 * k), math.sin(0.3 * k)] for k in range(20)]
+PAIRS = {"xs": POINTS, "ys": [[2.0 * x + 0.5 * y, 0.5 * x + y] for x, y in POINTS]}
 SITES = {
     "sites": [[1.0, 0.0], [-0.3, 1.0], [-0.7, -1.0]],
     "targets": [0.4, 0.35, 0.25],
@@ -52,14 +58,20 @@ def test_import(benchmark, tmp_path):
     [
         ["frame-report", "frame.json"],
         ["transport-dual", "frame.json", "dual.json"],
+        ["geodesic-profile", "frame.json", "dual.json"],
+        ["monotone", "pairs.json"],
         ["semidiscrete-adapt", "sites.json", "--samples", "20000", "--seed", "1"],
     ],
     ids=lambda command: command[0],
 )
 def test_command(benchmark, tmp_path, command):
-    for name, payload in {"frame.json": FRAME, "dual.json": DUAL, "sites.json": SITES}.items():
+    fixtures = {"frame.json": FRAME, "dual.json": DUAL, "pairs.json": PAIRS, "sites.json": SITES}
+    for name, payload in fixtures.items():
         (tmp_path / name).write_text(json.dumps(payload))
     out = benchmark.pedantic(
         python, ("-m", "pframes.cli", *command), {"cwd": tmp_path}, rounds=10
     )
-    assert json.loads(out)["config"]["command"] == command[0]
+    if command[0] == "geodesic-profile":
+        assert out.startswith("t,lambda_min,lambda_max,m2\n")
+    else:
+        assert json.loads(out)["config"]["command"] == command[0]

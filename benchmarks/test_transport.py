@@ -7,8 +7,12 @@ Run from the repository root (tier-1 collects only ``tests/``):
 
 ``wasserstein2`` runs at n = 40 and 200 on 3-d normal atoms, between uniform
 measures (the assignment route) and between Dirichlet(1) weights (the LP
-route).  ``geodesic_profile`` runs at n = 16 and 50, from a uniform 3-d frame
-to its canonical dual, on the default 101-point grid.
+route), and from a Dirichlet-weighted frame to its canonical dual (the
+identity pairing, certified without a solver).  ``geodesic_profile`` runs at
+n = 16 and 50, from a uniform 3-d frame to its canonical dual, on the
+default 101-point grid.  ``is_cyclically_monotone`` runs at n = 150 on 3-d
+normal points, unpaired (an improving transposition decides) and paired
+along an optimal assignment (the identity's potentials decide).
 """
 
 import numpy as np
@@ -17,7 +21,8 @@ import pytest
 from pframes.duality import canonical_dual
 from pframes.geodesics import geodesic_profile
 from pframes.measures import DiscreteMeasure
-from pframes.transport import wasserstein2
+from pframes.optim import hungarian
+from pframes.transport import is_cyclically_monotone, wasserstein2
 
 
 def measure(rng, n, weights):
@@ -40,3 +45,20 @@ def test_geodesic_profile(benchmark, n):
     mu = measure(np.random.default_rng(n), n, "uniform")
     profile = benchmark(geodesic_profile, mu, canonical_dual(mu))
     assert profile.all_frames
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_wasserstein2_to_canonical_dual(benchmark, n):
+    mu = measure(np.random.default_rng(n), n, "dirichlet")
+    solution = benchmark(wasserstein2, mu, canonical_dual(mu))
+    assert np.allclose(solution.plan.coupling, np.diag(mu.weights), rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
+def test_is_cyclically_monotone(benchmark, paired):
+    rng = np.random.default_rng(150)
+    xs, ys = rng.normal(size=(150, 3)), rng.normal(size=(150, 3))
+    if paired:
+        ys = ys[hungarian(-(xs @ ys.T))]
+    monotone, _ = benchmark(is_cyclically_monotone, list(zip(xs, ys)))
+    assert monotone == paired

@@ -36,7 +36,7 @@ from .measures import (
     merge_duplicate_atoms,
     weights_equal,
 )
-from .optim import LinearProgram, marginal_rows, solve_lp
+from .optim import HIGHS_TIGHT_TOL, LinearProgram, marginal_rows, solve_lp
 
 Array = np.ndarray
 
@@ -54,7 +54,9 @@ class TransportPlan:
     """Nonnegative coupling between two discrete measures.
 
     Row sums must match the row measure's weights and column sums the column
-    measure's weights, both to ``PLAN_TOL``.
+    measure's weights, both to ``PLAN_TOL``; entries below
+    ``-HIGHS_TIGHT_TOL``, the round-off ``solve_lp`` reads as zero, reject
+    the plan.
     """
 
     row_measure: DiscreteMeasure
@@ -68,7 +70,7 @@ class TransportPlan:
             raise ValueError(f"coupling must be {n}x{m}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("coupling contains non-finite entries")
-        if float(a.min()) < -1e-10:
+        if float(a.min()) < -HIGHS_TIGHT_TOL:
             raise ValueError("coupling has negative entries")
         if float(np.abs(a.sum(axis=1) - self.row_measure.weights).max()) > PLAN_TOL:
             raise ValueError("coupling row sums do not match row measure weights")

@@ -28,7 +28,7 @@ from .measures import (
     merge_duplicate_atoms,
     pd_threshold,
 )
-from .optim import MASS_EPS, certify_potentials
+from .optim import MASS_EPS, certify_potentials, identity_potentials
 from .transport import optimal_permutation, squared_distance_matrix, wasserstein2
 
 Array = np.ndarray
@@ -207,8 +207,10 @@ def coherence_identity_test(phi: Array, psi: Array) -> bool:
     (``Psi^T Phi = I``).  With ``z_i = psi_i - S^{-1} phi_i`` and ``a`` the
     minimal separation ``min_{i != j} <phi_i, S^{-1}(phi_i - phi_j)>``, the
     condition is ``max_j ||z_j|| <= a / N``.  When it holds, the identity is
-    an optimal pairing for squared cost, which is cross-checked by the
-    assignment solver.  The test is conservative: a False answer does not
+    an optimal pairing for squared cost, which is cross-checked:
+    ``optim.identity_potentials`` settles it as ``wasserstein2`` does for
+    uniform weights, and the assignment solver decides only what the
+    bound leaves open.  The test is conservative: a False answer does not
     preclude identity optimality.
     """
     phi = linalg.as_matrix(phi, "phi")
@@ -228,8 +230,8 @@ def coherence_identity_test(phi: Array, psi: Array) -> bool:
     a = float(separations[~np.eye(n, dtype=bool)].min())
     holds = bool(float(np.linalg.norm(z, axis=1).max()) <= a / n)
     if holds:
-        sigma = optimal_permutation(phi, psi)
-        if not np.array_equal(sigma, np.arange(n)):
+        settled = identity_potentials(squared_distance_matrix(phi, psi), np.full(n, 1.0 / n))
+        if settled is None and not np.array_equal(optimal_permutation(phi, psi), np.arange(n)):
             raise NumericError("coherence condition held but identity was not optimal")
     return holds
 

@@ -22,6 +22,13 @@ of a transportation coupling by Bellman-Ford on its difference constraints,
 and ``certify_potentials`` checks that they prove the coupling optimal:
 dual feasibility and a zero primal-dual gap, both to ``OPTIMALITY_RTOL``.
 
+``best_transposition`` and ``identity_bound`` decide, without an assignment
+solve, how far the identity of a square cost is from optimal: the most
+improving transposition from one ``O(n^2)`` test, and the identity's
+Kantorovich potentials with the weak-duality bound they give.
+``identity_potentials`` holds the rule by which W2 accepts the identity
+coupling of two equal-weight measures from them.
+
 ``hungarian`` makes one ``linear_sum_assignment`` solve (Crouse, IEEE TAES
 2016), takes potentials for its permutation from the same routine, and
 returns the lexicographically smallest permutation on edges whose reduced
@@ -228,6 +235,60 @@ def kantorovich_potentials(cost: Array, support: Array) -> tuple[Array, Array]:
     bare = ~support.any(axis=1)
     u[bare] = reduced[bare].min(axis=1)
     return u, v
+
+
+def best_transposition(cost: Array) -> tuple[int, int, float]:
+    """The transposition that lowers the identity assignment of a square
+    ``cost`` most: ``(i, j, gain)`` maximizing ``gain = c_ii + c_jj - c_ij -
+    c_ji`` by one vectorised ``O(n^2)`` test, ties to the first ``(i, j)`` in
+    row-major order, so ``i <= j`` (``i == j`` with gain 0 when no
+    transposition lowers the cost).
+    """
+    diag = cost.diagonal()
+    gain = diag[:, None] + diag[None, :] - cost - cost.T
+    best = int(gain.argmax())
+    i, j = divmod(best, cost.shape[0])
+    return i, j, float(gain.flat[best])
+
+
+def identity_bound(cost: Array) -> tuple[tuple[Array, Array], float]:
+    """The identity assignment's potentials ``kantorovich_potentials(cost,
+    eye)`` and the weak-duality bound they give on ``trace c`` minus the
+    optimal assignment cost of a square ``cost``: ``n max(0, -min slack) +
+    |gap|`` with ``gap = trace c - sum(u + v)``.
+    """
+    n = cost.shape[0]
+    u, v = kantorovich_potentials(cost, np.eye(n, dtype=bool))
+    slack = float((cost - u[:, None] - v[None, :]).min())
+    gap = float(cost.trace()) - float(u.sum() + v.sum())
+    return (u, v), n * max(0.0, -slack) + abs(gap)
+
+
+def identity_potentials(cost: Array, weights: Array) -> tuple[Array, Array] | None:
+    """Potentials for the diagonal coupling of two measures with the same
+    ``weights`` atom by atom, when its identity is accepted as optimal;
+    otherwise ``None``.
+
+    The identity is accepted when ``identity_bound`` is at most ``tol =
+    ASSIGNMENT_RTOL (1 + |value|) / n`` (``value = weights . diag c``); a
+    transposition gaining more than ``tol`` rejects it first, without
+    potentials (neighbours ``(i, i + 1)`` tested before the rest).  For
+    uniform weights ``tol`` is within ``hungarian``'s tight-edge threshold
+    ``ASSIGNMENT_RTOL (1 + |best|) / n`` (on squared distances ``value =
+    trace / n`` is below ``best`` unless both are at round-off), so every
+    diagonal edge is tight under the potentials, and the identity, the
+    smallest permutation of all, is what ``hungarian`` returns.  An accepted
+    plan is still certified by the caller.
+    """
+    n = cost.shape[0]
+    diag = cost.diagonal()
+    tol = ASSIGNMENT_RTOL * (1.0 + abs(float(weights @ diag))) / n
+    # Swapping neighbours first: one O(n) test rejects most unpaired inputs.
+    adjacent = diag[:-1] + diag[1:] - cost.diagonal(1) - cost.diagonal(-1)
+    if float(adjacent.max(initial=0.0)) > tol or best_transposition(cost)[2] > tol:
+        return None
+    potentials, bound = identity_bound(cost)
+    return potentials if bound <= tol else None
 
 
 def certify_potentials(

@@ -4,9 +4,17 @@ The squared distance between two finitely supported measures is the optimal
 value of the transportation LP with squared-Euclidean cost.  When both
 measures are uniform with equal support size, the Birkhoff-von Neumann
 reduction applies: an optimal coupling is a permutation matrix over N, found
-by the assignment solver; other pairs solve the LP.  Either plan is
-certified, not re-solved: Kantorovich potentials for its support must be dual
-feasible and close the primal-dual gap.
+by the assignment solver; other pairs solve the LP.  Before either, a pair
+of equal-weight measures tries the identity pairing, which the paper's pairs
+often are optimally: a frame and its canonical dual pair by ``x -> S^{-1}
+x``, the gradient of the convex ``x^T S^{-1} x / 2``, so the pairing is
+cyclically monotone (Rockafellar 1966) and the diagonal coupling optimal.
+``optim.identity_potentials`` accepts it when no transposition improves it
+and its Kantorovich potentials bound its distance from the optimal
+assignment to round-off; ``is_cyclically_monotone`` decides from the same
+two kernels, ``optim.best_transposition`` and ``optim.identity_bound``.  Every
+plan is certified, not re-solved: Kantorovich potentials for its support
+must be dual feasible and close the primal-dual gap.
 """
 
 from __future__ import annotations
@@ -15,14 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import TransportPlan
+from .duality import TransportPlan, deterministic_plan
+from .linalg import as_matrix
 from .measures import DiscreteMeasure, weights_equal
 from .optim import (
     ASSIGNMENT_RTOL,
     MASS_EPS,
     LinearProgram,
+    best_transposition,
     certify_potentials,
     hungarian,
+    identity_bound,
+    identity_potentials,
     kantorovich_potentials,
     marginal_rows,
     solve_lp,
@@ -51,30 +63,41 @@ def squared_distance_matrix(xs: Array, ys: Array) -> Array:
 def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """Optimal transport between two discrete measures for squared cost.
 
-    Uniform inputs of equal cardinality (``weights_equal`` to ``1 / n``)
-    take the assignment route, all others the LP.  Either plan is certified
-    on the one cost matrix: Kantorovich potentials from its support (entries
-    above ``MASS_EPS``) must pass ``certify_potentials``, or ``NumericError``
-    names the minimum slack and the primal-dual gap; the potentials come back
-    with the plan.
+    Inputs of equal cardinality whose weights are ``weights_equal`` atom by
+    atom first try the identity pairing (``optim.identity_potentials``); when it
+    is accepted, the plan is the diagonal coupling and no solver runs.
+    Otherwise uniform inputs of equal cardinality (``weights_equal`` to ``1
+    / n``) take the assignment route, all others the LP.  Every plan is
+    certified on the one cost matrix: Kantorovich potentials (the
+    identity's, or those of the plan's support, entries above ``MASS_EPS``)
+    must pass ``certify_potentials``, or ``NumericError`` names the minimum
+    slack and the primal-dual gap; the potentials come back with the plan.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     cost = squared_distance_matrix(mu.atoms, nu.atoms)
     n, m = mu.count, nu.count
-    sigma = None
+    sigma = potentials = None
+    if n == m and weights_equal(mu.weights, nu.weights):
+        potentials = identity_potentials(cost, mu.weights)
     if n == m and weights_equal(mu.weights, 1.0 / n) and weights_equal(nu.weights, 1.0 / n):
-        sigma = hungarian(cost)
+        sigma = np.arange(n) if potentials is not None else hungarian(cost)
         value = float(cost[np.arange(n), sigma].sum() / n)
         coupling = np.zeros((n, n))
         coupling[np.arange(n), sigma] = 1.0 / n
+        plan = TransportPlan.from_solver(mu, nu, coupling)
+    elif potentials is not None:
+        plan = deterministic_plan(mu, nu)
+        value = float((plan.coupling * cost).sum())
     else:
         rhs = np.concatenate([mu.weights, nu.weights])
         outcome = solve_lp(LinearProgram(marginal_rows(n, m), rhs, objective=cost.ravel()))
         coupling = outcome.solution.reshape(n, m)
         value = float((coupling * cost).sum())
-    plan = TransportPlan.from_solver(mu, nu, coupling)
-    u, v = kantorovich_potentials(cost, plan.coupling > MASS_EPS)
+        plan = TransportPlan.from_solver(mu, nu, coupling)
+    if potentials is None:
+        potentials = kantorovich_potentials(cost, plan.coupling > MASS_EPS)
+    u, v = potentials
     certify_potentials(cost, plan.coupling, mu.weights, nu.weights, u, v, "transport plan")
     return OtSolution(
         distance_squared=max(value, 0.0), plan=plan, permutation=sigma, potentials=(u, v)
@@ -103,6 +126,14 @@ def is_cyclically_monotone(pairs) -> tuple[bool, Array | None]:
     checking a single N x N assignment over all pairs decides monotonicity of
     the whole set.  When the answer is no, a permutation beating the identity
     is returned as witness.
+
+    On the negated gains, ``best_transposition`` and ``identity_bound``
+    decide most sets without the assignment solver, against ``tol =
+    ASSIGNMENT_RTOL (1 + |identity| + |best|)``: a transposition beating the
+    identity by more than ``tol`` is the witness, and a bound on ``best -
+    identity`` within ``tol`` proves the identity optimal.  Only the rest (a
+    transposition within ``tol``, or a longer improving cycle) are decided
+    by ``hungarian``.  Non-finite gains raise ``ValueError``.
     """
     pairs = list(pairs)
     if not pairs:
@@ -111,11 +142,27 @@ def is_cyclically_monotone(pairs) -> tuple[bool, Array | None]:
     ys = np.asarray([np.asarray(p[1], dtype=float) for p in pairs])
     if xs.ndim != 2 or xs.shape != ys.shape:
         raise ValueError("pairs must hold vectors of one common dimension")
-    gains = xs @ ys.T
+    n = len(pairs)
+    gains = as_matrix(xs @ ys.T, "cost")
     identity_value = float(np.trace(gains))
+
+    def total(sigma: Array) -> float:
+        return float(gains[np.arange(n), sigma].sum())
+
+    def beats_identity(value: float) -> bool:
+        return value > identity_value + ASSIGNMENT_RTOL * (
+            1.0 + abs(identity_value) + abs(value)
+        )
+
+    i, j, _ = best_transposition(-gains)
+    sigma = np.arange(n)
+    sigma[[i, j]] = j, i
+    if beats_identity(total(sigma)):
+        return False, sigma
+    _, bound = identity_bound(-gains)
+    if not beats_identity(identity_value + bound):
+        return True, None
     sigma = hungarian(-gains)
-    best_value = float(gains[np.arange(len(pairs)), sigma].sum())
-    tol = ASSIGNMENT_RTOL * (1.0 + abs(identity_value) + abs(best_value))
-    if best_value > identity_value + tol:
+    if beats_identity(total(sigma)):
         return False, sigma
     return True, None

@@ -165,6 +165,16 @@ def test_monotone_canonical_dual_pairs(tmp_path, capsys):
     assert payload["witness"] is None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200], ids=["nan", "inf", "overflow"])
+def test_monotone_non_finite_pairs_exit_two(tmp_path, capsys, bad):
+    points = [[1.0, 0.0], [0.0, 1.0], [bad, 0.0]]
+    pairs = write_json(tmp_path / "pairs.json", {"xs": points, "ys": points})
+    code, out, err = run(capsys, ["monotone", pairs])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "non-finite" in err
+
+
 def test_geodesic_profile_csv(tmp_path, capsys):
     rng = np.random.default_rng(1)
     measure = random_frame_measure(rng, 2, 4, uniform=True)
@@ -463,6 +473,20 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
     two = write_json(
         tmp_path / "two.json", {"dim": 2, "atoms": [[0.3, 1.1], [-0.8, 0.2]], "weights": [0.3, 0.7]}
     )
+    skewed = write_json(
+        tmp_path / "skewed.json",
+        {"dim": 2, "atoms": [[1.0, 0.2], [-0.4, 1.0], [0.3, -0.9]], "weights": [0.2, 0.3, 0.5]},
+    )
+    skewed_dual = str(tmp_path / "skewed-dual.json")
+    # x -> A x with A positive definite is the gradient of a convex function.
+    xs = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 2.0]]
+    monotone_pairs = write_json(
+        tmp_path / "paired.json",
+        {"xs": xs, "ys": [[2.0 * a + 0.5 * b, 0.5 * a + b] for a, b in xs]},
+    )
+    swapped_pairs = write_json(
+        tmp_path / "swapped.json", {"xs": [[1.0, 0.0], [0.0, 1.0]], "ys": [[0.0, 1.0], [1.0, 0.0]]}
+    )
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     commands = [
@@ -478,6 +502,12 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
         ["semidiscrete-adapt", sites, "--samples", "2000", "--seed", "1"],
         # 50k samples run the coarse level first.
         ["semidiscrete-adapt", sites, "--samples", "50000", "--seed", "1"],
+        # The identity pairing is decided by its bound or by a transposition.
+        ["monotone", monotone_pairs],
+        ["monotone", swapped_pairs],
+        ["canonical-dual", skewed, "--out", skewed_dual],
+        ["wasserstein", skewed, skewed_dual],
+        ["geodesic-profile", skewed, skewed_dual, "--grid", "5"],
         ["frame-report", str(bad)],
     ]
     code = (
@@ -487,7 +517,7 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
         "if m.startswith(('scipy.optimize', 'scipy.sparse')))]))"
     )
     codes, loaded = run_child(code, json.dumps(commands))
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2]
+    assert codes == [0] * (len(commands) - 1) + [2]
     assert loaded == []
 
 

@@ -14,6 +14,7 @@ from helpers import (
     random_unit_norm_frame,
 )
 import pframes.geodesics
+import pframes.optim
 import pframes.transport
 from pframes.duality import TransportPlan, canonical_dual, dual_family_member
 from pframes.errors import NotAFrameError, NumericError
@@ -237,7 +238,9 @@ def test_closed_form_profile_matches_per_measure_path_when_atoms_merge(weights):
 def test_profile_certifies_its_plan_once(monkeypatch):
     # Fails when the profile certifies the plan wasserstein2 has certified.
     calls = counting(monkeypatch, pframes.transport, "kantorovich_potentials")
-    mu, nu = as_measure_pair(np.random.default_rng(22), 3, 8)
+    rng = np.random.default_rng(22)
+    mu = random_frame_measure(rng, 3, 8, uniform=True)
+    nu = random_frame_measure(rng, 3, 8, uniform=True)
     geodesic_profile(mu, nu)
     assert calls == ["kantorovich_potentials"]
 
@@ -245,10 +248,28 @@ def test_profile_certifies_its_plan_once(monkeypatch):
 def test_uniform_profile_makes_one_assignment_and_no_lp(monkeypatch):
     lp_calls = counting(monkeypatch, pframes.transport, "solve_lp")
     assignment_calls = counting(monkeypatch, pframes.transport, "hungarian")
-    mu, nu = as_measure_pair(np.random.default_rng(22), 3, 8)
+    rng = np.random.default_rng(22)
+    mu = random_frame_measure(rng, 3, 8, uniform=True)
+    nu = random_frame_measure(rng, 3, 8, uniform=True)
     geodesic_profile(mu, nu)
     assert len(lp_calls) == 0
     assert len(assignment_calls) == 1
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "dirichlet"])
+def test_paired_profile_makes_no_assignment_and_no_lp(monkeypatch, uniform):
+    # A frame and its canonical dual pair by the identity, which its bound
+    # accepts: no solver runs.
+    calls = counting(monkeypatch, pframes.transport, "solve_lp", "hungarian")
+    # The plan is still certified once, by the identity's potentials from
+    # optim.identity_bound.
+    certified = counting(monkeypatch, pframes.transport, "kantorovich_potentials")
+    in_kernel = counting(monkeypatch, pframes.optim, "kantorovich_potentials")
+    mu = random_frame_measure(np.random.default_rng(22), 3, 8, uniform=uniform)
+    profile = geodesic_profile(mu, canonical_dual(mu))
+    assert calls == []
+    assert certified + in_kernel == ["kantorovich_potentials"]
+    assert profile.all_frames
 
 
 def test_profile_rejects_a_swapped_plan(monkeypatch):
@@ -428,6 +449,22 @@ def test_coherence_small_perturbation_holds():
     )
     assert coherence_identity_test(phi, member.atoms)
     assert np.array_equal(optimal_permutation(phi, member.atoms), np.arange(n))
+
+
+def test_coherence_identity_is_settled_by_its_bound(monkeypatch):
+    rng = np.random.default_rng(14)
+    phi = positively_separated_unit_frame(rng, 2, 5)
+    psi = phi @ np.linalg.inv(phi.T @ phi)
+    calls = counting(monkeypatch, pframes.geodesics, "optimal_permutation")
+    assert coherence_identity_test(phi, psi)
+    assert calls == []
+    # A bound that settles nothing leaves the decision to the assignment.
+    monkeypatch.setattr(pframes.geodesics, "identity_potentials", lambda cost, weights: None)
+    assert coherence_identity_test(phi, psi)
+    assert calls == ["optimal_permutation"]
+    monkeypatch.setattr(pframes.geodesics, "optimal_permutation", lambda a, b: np.arange(5)[::-1])
+    with pytest.raises(NumericError, match="identity was not optimal"):
+        coherence_identity_test(phi, psi)
 
 
 def test_coherence_large_perturbation_fails_conservatively():

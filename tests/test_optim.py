@@ -6,7 +6,16 @@ from hypothesis import strategies as st
 import pframes.optim
 from helpers import brute_force_assignment, counting, refined_assignment
 from pframes.errors import NumericError
-from pframes.optim import FEASIBILITY_TOL, LinearProgram, LpOutcome, hungarian, solve_lp
+from pframes.optim import (
+    FEASIBILITY_TOL,
+    LinearProgram,
+    LpOutcome,
+    best_transposition,
+    hungarian,
+    identity_bound,
+    identity_potentials,
+    solve_lp,
+)
 from pframes.transport import squared_distance_matrix
 
 
@@ -125,6 +134,54 @@ def test_dimension_validation():
         solve_lp(LinearProgram(np.ones((2, 2)), np.ones(3)))
     with pytest.raises(ValueError):
         solve_lp(LinearProgram(np.ones((2, 2)), np.ones(2), objective=np.ones(3)))
+
+
+def test_best_transposition_is_the_largest_gain_first_in_row_order():
+    # Swapping rows (0, 2) or (1, 3) gains 4, rows (0, 1) gain 2.
+    cost = np.array(
+        [
+            [2.0, 1.0, 0.0, 2.0],
+            [1.0, 2.0, 2.0, 0.0],
+            [0.0, 2.0, 2.0, 2.0],
+            [2.0, 0.0, 2.0, 2.0],
+        ]
+    )
+    assert best_transposition(cost) == (0, 2, 4.0)
+    # No transposition lowers an optimal identity.
+    assert best_transposition(np.ones((3, 3)) - np.eye(3)) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_identity_bound_bounds_the_identity_excess(seed):
+    rng = np.random.default_rng(seed)
+    n = 6
+    xs, ys = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    paired = -(xs @ ys[hungarian(-(xs @ ys.T))].T)
+    for cost in (-(xs @ ys.T), paired):
+        best, _ = brute_force_assignment(cost)
+        excess = float(np.trace(cost)) - best
+        (u, v), bound = identity_bound(cost)
+        assert bound >= excess - 1e-12
+        assert best_transposition(cost)[2] <= excess + 1e-12
+        if bound <= 1e-12:
+            assert np.allclose(u + v, cost.diagonal(), atol=1e-12)
+    # An optimal identity is bounded to round-off.
+    assert identity_bound(paired)[1] <= 1e-12
+
+
+def test_identity_potentials_accept_only_an_optimal_identity():
+    rng = np.random.default_rng(7)
+    xs = rng.normal(size=(6, 2))
+    weights = rng.dirichlet(np.ones(6))
+    # x -> 2 x is the gradient of a convex function: the identity is optimal.
+    cost = ((xs[:, None, :] - 2.0 * xs[None, :, :]) ** 2).sum(axis=2)
+    u, v = identity_potentials(cost, weights)
+    assert np.allclose(u + v, cost.diagonal(), atol=1e-12)
+    assert (cost - u[:, None] - v[None, :]).min() >= -1e-12
+    # Reversing the targets makes transpositions improve it.
+    assert identity_potentials(cost[:, ::-1], weights) is None
+    # Non-finite costs are never accepted.
+    assert identity_potentials(np.where(np.eye(6, dtype=bool), np.nan, cost), weights) is None
 
 
 def test_hungarian_identity_favoring():

@@ -11,10 +11,10 @@ from helpers import (
     with_row_residual,
 )
 import pframes.transport
-from pframes.duality import canonical_dual
+from pframes.duality import canonical_dual, psi_h_dual
 from pframes.errors import NumericError
 from pframes.measures import DiscreteMeasure
-from pframes.optim import LpOutcome
+from pframes.optim import ASSIGNMENT_RTOL, OPTIMALITY_RTOL, LpOutcome, hungarian
 from pframes.transport import (
     is_cyclically_monotone,
     optimal_permutation,
@@ -206,6 +206,55 @@ def test_product_coupling_from_the_lp_is_a_numeric_error(monkeypatch):
         wasserstein2(mu, nu)
 
 
+def equal_weight_pairs():
+    """Equal-weight pairs whose identity pairing is optimal, by name."""
+    rng = np.random.default_rng(31)
+    uniform = random_frame_measure(rng, 3, 8, uniform=True)
+    skewed = random_frame_measure(rng, 3, 8)
+    doubled = DiscreteMeasure(np.repeat(skewed.atoms[:4], 2, axis=0), np.full(8, 1.0 / 8))
+    return {
+        "canonical-uniform": (uniform, canonical_dual(uniform)),
+        "canonical-dirichlet": (skewed, canonical_dual(skewed)),
+        "psi-h-uniform": (uniform, psi_h_dual(uniform, 0.01 * rng.normal(size=(8, 3)))),
+        "psi-h-dirichlet": (skewed, psi_h_dual(skewed, 0.01 * rng.normal(size=(8, 3)))),
+        "duplicated-atoms": (doubled, canonical_dual(doubled)),
+        "self-uniform": (uniform, uniform),
+        "self-dirichlet": (skewed, skewed),
+    }
+
+
+@pytest.mark.parametrize("name", list(equal_weight_pairs()))
+def test_identity_route_matches_the_solver_route(monkeypatch, name):
+    # The identity pairing, accepted by its bound, gives the solver route's
+    # value (within certification) and permutation, and solves nothing.
+    mu, nu = equal_weight_pairs()[name]
+    calls = counting(monkeypatch, pframes.transport, "hungarian", "solve_lp")
+    fast = wasserstein2(mu, nu)
+    assert calls == []
+    monkeypatch.setattr(pframes.transport, "identity_potentials", lambda cost, weights: None)
+    slow = wasserstein2(mu, nu)
+    assert len(calls) == 1
+    tol = OPTIMALITY_RTOL * (1.0 + abs(slow.distance_squared))
+    assert abs(fast.distance_squared - slow.distance_squared) <= tol
+    if slow.permutation is None:
+        assert fast.permutation is None
+        assert np.array_equal(fast.plan.coupling, np.diag(mu.weights))
+    else:
+        assert np.array_equal(fast.permutation, slow.permutation)
+        assert np.array_equal(fast.plan.coupling, slow.plan.coupling)
+
+
+def test_random_equal_weight_pairs_take_the_solver_route(monkeypatch):
+    rng = np.random.default_rng(32)
+    weights = rng.dirichlet(np.ones(12))
+    mu = DiscreteMeasure(rng.normal(size=(12, 2)), weights)
+    nu = DiscreteMeasure(rng.normal(size=(12, 2)), weights)
+    calls = counting(monkeypatch, pframes.transport, "solve_lp")
+    solution = wasserstein2(mu, nu)
+    assert calls == ["solve_lp"]
+    assert not np.array_equal(solution.plan.coupling, np.diag(weights))
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         wasserstein2(
@@ -261,6 +310,14 @@ def test_monotone_validations():
         is_cyclically_monotone([(np.ones(2), np.ones(3))])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+def test_monotone_rejects_non_finite_gains(bad):
+    # 1e200 squared overflows to inf in the gains.
+    points = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        is_cyclically_monotone(list(zip(points, points)))
+
+
 # --- optimal permutation -----------------------------------------------------
 
 
@@ -309,3 +366,97 @@ def test_lp_coupling_failing_plan_checks_is_a_numeric_error(monkeypatch):
     nu = DiscreteMeasure(atoms=[[1.0, 1.0], [-1.0, 0.5], [0.2, -1.0]], weights=[0.5, 0.3, 0.2])
     with pytest.raises(NumericError, match="not a valid plan"):
         wasserstein2(mu, nu)
+
+
+def monotone_by_assignment(xs, ys):
+    """The decision from one assignment solve: is the identity within
+    ``ASSIGNMENT_RTOL (1 + |identity| + |best|)`` of the best pairing?"""
+    gains = xs @ ys.T
+    identity = float(np.trace(gains))
+    sigma = hungarian(-gains)
+    best = float(gains[np.arange(len(xs)), sigma].sum())
+    return best <= identity + ASSIGNMENT_RTOL * (1.0 + abs(identity) + abs(best))
+
+
+def paired(xs, ys):
+    """``ys`` reordered along an optimal assignment: monotone by construction."""
+    return ys[hungarian(-(xs @ ys.T))]
+
+
+def near_tie(scale):
+    """1-d points, embedded in 2-d, where swapping the first two pairs beats
+    the identity by ``scale`` times the assignment tolerance and nothing
+    beats it by more."""
+    xs = np.arange(6.0)
+    ys = np.arange(6.0)
+    identity = float(xs @ ys)
+    gain = scale * ASSIGNMENT_RTOL * (1.0 + 2.0 * identity)
+    ys[0] = ys[1] + gain  # (x0 - x1)(y1 - y0) = gain
+    return xs[:, None] * [1.0, 0.0], ys[:, None] * [1.0, 0.0]
+
+
+def monotone_cases():
+    rng = np.random.default_rng(33)
+    cases = []
+    for n in (2, 3, 5, 8, 20, 60):
+        for _ in range(4):
+            xs, ys = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+            cases += [("random", xs, ys), ("paired", xs, paired(xs, ys))]
+            xs, ys = rng.integers(0, 3, size=(n, 2)) * 1.0, rng.integers(0, 3, size=(n, 2)) * 1.0
+            cases += [("grid", xs, ys), ("grid-paired", xs, paired(xs, ys))]
+    cases += [("near-tie", *near_tie(0.5)), ("near-tie", *near_tie(2.0))]
+    return cases
+
+
+def test_monotone_answers_match_the_assignment_decision():
+    kinds = set()
+    for kind, xs, ys in monotone_cases():
+        monotone, witness = is_cyclically_monotone(list(zip(xs, ys)))
+        assert monotone == monotone_by_assignment(xs, ys), kind
+        if monotone:
+            assert witness is None
+        else:
+            gains = xs @ ys.T
+            assert sorted(witness) == list(range(len(xs)))
+            assert gains[np.arange(len(xs)), witness].sum() > np.trace(gains)
+        kinds.add((kind, monotone))
+    assert {("random", False), ("paired", True), ("grid", False), ("grid-paired", True)} <= kinds
+    assert {("near-tie", True), ("near-tie", False)} <= kinds
+
+
+def test_transposition_beyond_the_tolerance_is_the_witness(monkeypatch):
+    xs, ys = near_tie(2.0)
+    calls = counting(monkeypatch, pframes.transport, "hungarian")
+    assert not is_cyclically_monotone(list(zip(xs, ys)))[0]
+    assert np.array_equal(is_cyclically_monotone(list(zip(xs, ys)))[1], [1, 0, 2, 3, 4, 5])
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["random", "paired"])
+def test_monotone_sets_are_decided_without_the_assignment_solver(monkeypatch, kind):
+    rng = np.random.default_rng(34)
+    xs, ys = rng.normal(size=(150, 3)), rng.normal(size=(150, 3))
+    if kind == "paired":
+        ys = paired(xs, ys)
+    calls = counting(monkeypatch, pframes.transport, "hungarian")
+    monotone, witness = is_cyclically_monotone(list(zip(xs, ys)))
+    assert calls == []
+    assert monotone == (kind == "paired")
+    if not monotone:  # a transposition
+        assert np.count_nonzero(witness != np.arange(150)) == 2
+
+
+def test_longer_improving_cycle_reaches_the_assignment_solver(monkeypatch):
+    # No transposition beats the identity here, but the 4-cycle 0 -> 2 -> 3
+    # -> 1 -> 0 does, so only the assignment solver finds the witness.
+    xs = np.array([[-1.18, -0.85], [-0.05, -1.88], [1.43, 1.06], [1.25, -0.51]])
+    ys = np.array([[0.24, -0.95], [1.55, -1.21], [-0.51, 1.42], [2.49, -0.09]])
+    gains = xs @ ys.T
+    diag = gains.diagonal()
+    assert (gains + gains.T <= diag[:, None] + diag[None, :]).all()
+    calls = counting(monkeypatch, pframes.transport, "hungarian")
+    monotone, witness = is_cyclically_monotone(list(zip(xs, ys)))
+    assert calls == ["hungarian"]
+    assert not monotone
+    assert np.array_equal(witness, [2, 0, 3, 1])
+    assert gains[np.arange(4), witness].sum() > np.trace(gains)
