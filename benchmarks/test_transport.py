@@ -5,10 +5,11 @@ Run from the repository root (tier-1 collects only ``tests/``):
 
     python -m pytest benchmarks/test_transport.py --benchmark-json=out.json
 
-``wasserstein2`` runs at n = 40 and 200 on 3-d normal atoms, between uniform
-measures (the assignment route) and between Dirichlet(1) weights (the LP
-route), and from a Dirichlet-weighted frame to its canonical dual (the
-identity pairing, certified without a solver).  ``geodesic_profile`` runs at
+``wasserstein2`` runs on 3-d normal atoms between uniform measures at n = 40
+and 200 (the assignment route) and between Dirichlet(1) weights at n = 40,
+200 and 400 (the LP route, on sparse marginal rows), and from a
+Dirichlet-weighted frame to its canonical dual (the identity pairing,
+certified without a solver).  ``geodesic_profile`` runs at
 n = 16 and 50, from a uniform 3-d frame to its canonical dual, on the
 default 101-point grid.  ``is_cyclically_monotone`` runs at n = 150 on 3-d
 normal points, unpaired (an improving transposition decides) and paired
@@ -31,8 +32,10 @@ def measure(rng, n, weights):
     return DiscreteMeasure(atoms=rng.normal(size=(n, 3)), weights=rng.dirichlet(np.ones(n)))
 
 
-@pytest.mark.parametrize("n", [40, 200])
-@pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+@pytest.mark.parametrize(
+    "weights, n",
+    [("uniform", 40), ("uniform", 200), ("dirichlet", 40), ("dirichlet", 200), ("dirichlet", 400)],
+)
 def test_wasserstein2(benchmark, weights, n):
     rng = np.random.default_rng(n)
     mu, nu = measure(rng, n, weights), measure(rng, n, weights)

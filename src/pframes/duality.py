@@ -285,9 +285,9 @@ def find_transport_dual(
     if cert is not None:
         return cert
 
-    # Row-major vec(A): the duality rows are kron(Phi^T, Psi^T), then the
-    # marginal rows.
-    kprime = np.vstack([np.kron(phi.T, psi.T), marginal_rows(n, m)])
+    # Row-major vec(A): the dense duality rows kron(Phi^T, Psi^T) head the
+    # sparse marginal rows.
+    kprime = marginal_rows(n, m, head=np.kron(phi.T, psi.T))
     tprime = np.concatenate([np.eye(d).ravel(), alpha, beta])
     outcome = solve_lp(LinearProgram(constraint_matrix=kprime, rhs=tprime))
 

@@ -3,19 +3,24 @@ Kantorovich potentials.
 
 ``solve_lp`` decides feasibility of ``K a = t, a >= 0`` and, with an
 objective, optimizes over that set, using the HiGHS dual revised simplex
-(Huangfu and Hall, Math. Prog. Comp. 2018) shipped with scipy.  Without an
-objective it solves one LP, the elastic LP ``min 1^T (s+ + s-)  s.t.  K a +
-s+ - s- = t``: zero slack (up to the feasibility tolerance) gives the
-solution, positive slack gives a Farkas certificate ``y`` satisfying ``y^T K
->= 0`` and ``y^T t < 0`` (up to the stated tolerances), read off its equality
-duals.  With an objective, ``milp`` optimizes, and any status but optimal is
-a ``NumericError``: W2, the one such caller, solves over a transportation
-polytope, never empty and with its cost bounded.  Feasible systems come back
-with a solution whose nonnegativity and residual are re-checked here; a point
-that HiGHS accepts at its default tolerance but that misses a bound or a row
-by more than round-off is re-solved once at the tightest tolerance.  The
-certificate is re-validated before it is returned, never emitted unchecked.
-The intended scale is couplings up to roughly 50 x 50.
+(Huangfu and Hall, Math. Prog. Comp. 2018) shipped with scipy.  Every LP is
+one call into scipy's HiGHS bindings (``_highs``), with no ``linprog`` or
+``milp`` front-end, on a ``scipy.sparse`` CSC matrix written column by
+column: ``marginal_rows`` builds the transportation polytope's rows from
+index arrays, below dense head rows when a caller has them.  Without an
+objective ``solve_lp`` solves one LP, the elastic LP ``min 1^T (s+ + s-)
+s.t.  K a + s+ - s- = t``: zero slack (up to the feasibility tolerance)
+gives the solution, positive slack gives a Farkas certificate ``y``
+satisfying ``y^T K >= 0`` and ``y^T t < 0`` (up to the stated tolerances),
+read off its row duals.  With an objective it solves the LP itself, and any
+status but optimal is a ``NumericError``: W2, the one such caller, solves
+over a transportation polytope, never empty and with its cost bounded.
+Feasible systems come back with a solution whose nonnegativity and residual
+are re-checked here; a point that HiGHS accepts at its default tolerance but
+that misses a bound or a row by more than round-off is re-solved once at the
+tightest tolerance.  The certificate is re-validated before it is returned,
+never emitted unchecked.  The intended scale is couplings up to roughly 50 x
+50, and W2 on a few hundred atoms.
 
 ``kantorovich_potentials`` finds dual potentials ``(u, v)`` for the support
 of a transportation coupling by Bellman-Ford on its difference constraints,
@@ -36,11 +41,12 @@ cost is at most ``tol / n`` (``tol = ASSIGNMENT_RTOL (1 + |best|)``); it fixes
 rows in order, rerouting the rows below along one alternating path of such
 edges.
 
-scipy's solvers are imported on first use, inside the functions that call
-them, so importing the package (and every CLI command that solves no LP or
-assignment) does not load ``scipy.optimize``.  ``linear_sum_assignment`` is a
-module-level shim that ``hungarian`` calls through the module global, so
-patching this module's attribute still replaces or counts the solve.
+scipy's solvers and ``scipy.sparse`` are imported on first use, inside the
+functions that call them, so importing the package (and every CLI command
+that solves no LP or assignment) does not load ``scipy.optimize``.
+``linear_sum_assignment`` is a module-level shim that ``hungarian`` calls
+through the module global, so patching this module's attribute still
+replaces or counts the solve.
 """
 
 from __future__ import annotations
@@ -74,9 +80,10 @@ ASSIGNMENT_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``constraint_matrix @ a == rhs`` with ``a >= 0``; objective optional."""
+    """``constraint_matrix @ a == rhs`` with ``a >= 0``; objective optional.
+    The constraint matrix may be dense or ``scipy.sparse``."""
 
-    constraint_matrix: Array
+    constraint_matrix: object
     rhs: Array
     objective: Array | None = None
 
@@ -91,40 +98,100 @@ class LpOutcome:
     dual_certificate: Array | None = None
 
 
-def marginal_rows(n: int, m: int) -> Array:
+def marginal_rows(n: int, m: int, head: Array | None = None):
     """Row sums, then column sums, of an ``n x m`` coupling flattened row-major:
     the ``n + m`` equality rows of the transportation polytope ``DS(alpha,
-    beta)``, ahead of the right-hand side ``[alpha, beta]``."""
-    return np.vstack([np.kron(np.eye(n), np.ones((1, m))), np.kron(np.ones((1, n)), np.eye(m))])
+    beta)``, ahead of the right-hand side ``[alpha, beta]``, below the dense
+    rows of ``head`` when given.
+
+    Returned as a ``scipy.sparse`` CSC array written column by column: column
+    ``i m + j`` holds the nonzeros of ``head[:, i m + j]``, then a one in row
+    ``i`` and a one in row ``n + j`` of the marginal block.
+    """
+    from scipy.sparse import csc_array
+
+    if head is None:
+        head = np.zeros((0, n * m))
+    top = head.shape[0]
+    cols, rows = np.nonzero(head.T)
+    counts = np.bincount(cols, minlength=n * m) + 2
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    # Column c starts after the head entries of the columns before it and
+    # their 2 c marginal entries, so the k-th head entry in column-major
+    # order, in column c, lands at k + 2 c.
+    slots = np.arange(cols.size) + 2 * cols
+    indices[slots], data[slots] = rows, head[rows, cols]
+    col = np.arange(n * m)
+    indices[indptr[1:] - 2], indices[indptr[1:] - 1] = top + col // m, top + n + col % m
+    data[indptr[1:] - 2] = data[indptr[1:] - 1] = 1.0
+    return csc_array((data, indices, indptr), shape=(top + n + m, n * m))
 
 
-def _elastic_lp(kmat: Array, rhs: Array) -> tuple[Array | None, Array | None]:
+def _highs(cost: Array, kmat, rhs: Array, tight: bool = False) -> tuple[Array, Array, float]:
+    """One HiGHS solve of ``min cost^T a  s.t.  K a = t, a >= 0`` for a CSC
+    ``kmat``: presolve and output off, the primal feasibility tolerance
+    HiGHS's default or, when ``tight``, ``HIGHS_TIGHT_TOL``.  Returns the
+    point, the row duals and the objective; any model status but optimal
+    (infeasible, unbounded or failed) raises ``NumericError``.
+    """
+    # scipy's private HiGHS bindings, scipy.optimize._highspy._core (run on scipy 1.17.1).
+    from scipy.optimize._highspy import _core
+
+    m, n = kmat.shape
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = cost
+    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, np.inf)
+    lp.row_lower_ = lp.row_upper_ = rhs
+    matrix = lp.a_matrix_
+    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    matrix.start_, matrix.index_, matrix.value_ = kmat.indptr, kmat.indices, kmat.data
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    if tight:
+        highs.setOptionValue("primal_feasibility_tolerance", HIGHS_TIGHT_TOL)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        at = " at tight tolerance" if tight else ""
+        raise NumericError(f"LP solver failed{at}: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    objective = float(highs.getInfo().objective_function_value)
+    return np.array(solution.col_value), np.array(solution.row_dual), objective
+
+
+def _elastic_lp(kmat, rhs: Array) -> tuple[Array | None, Array | None]:
     """Solve ``min 1^T (s+ + s-)  s.t.  K a + s+ - s- = t`` with every
     variable nonnegative; return ``(a, None)`` or ``(None, y)``.
 
-    A slack within ``FEASIBILITY_TOL * (1 + max|t|)`` gives the ``a`` part,
-    still to be checked by the caller.  A larger slack gives the equality
-    duals as a Farkas certificate: the elastic dual is ``max t^T z  s.t.
-    K^T z <= 0, |z| <= 1``, so ``y = -z`` scaled to unit max-norm has ``y^T
-    K >= 0`` and ``y^T t <= -slack``.  It is re-validated before it is
-    returned.
+    The slack columns ``+I`` and ``-I`` are appended to the CSC ``kmat``.  A
+    slack within ``FEASIBILITY_TOL * (1 + max|t|)`` gives the ``a`` part,
+    still to be checked by the caller.  A larger slack gives the row duals
+    as a Farkas certificate: the elastic dual is ``max t^T z  s.t.  K^T z <=
+    0, |z| <= 1``, so ``y = -z`` scaled to unit max-norm has ``y^T K >= 0``
+    and ``y^T t <= -slack``.  It is re-validated before it is returned.
     """
-    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
 
     m, n = kmat.shape
-    res = linprog(
-        np.concatenate([np.zeros(n), np.ones(2 * m)]),
-        A_eq=np.hstack([kmat, np.eye(m), -np.eye(m)]),
-        b_eq=rhs,
-        bounds=(0, None),
-        method="highs",
-        options={"presolve": False},
+    slack_rows = np.arange(m)
+    elastic = csc_array(
+        (
+            np.concatenate([kmat.data, np.ones(m), -np.ones(m)]),
+            np.concatenate([kmat.indices, slack_rows, slack_rows]),
+            np.concatenate([kmat.indptr, kmat.indptr[-1] + np.arange(1, 2 * m + 1)]),
+        ),
+        shape=(m, n + 2 * m),
     )
-    if res.status != 0:
-        raise NumericError(f"elastic LP failed: {res.message}")
-    if float(res.fun) <= FEASIBILITY_TOL * (1.0 + float(np.abs(rhs).max())):
-        return np.array(res.x[:n], dtype=float), None
-    cert = -np.asarray(res.eqlin.marginals, dtype=float)
+    x, duals, slack = _highs(np.concatenate([np.zeros(n), np.ones(2 * m)]), elastic, rhs)
+    if slack <= FEASIBILITY_TOL * (1.0 + float(np.abs(rhs).max())):
+        return x[:n], None
+    cert = -duals
     peak = float(np.abs(cert).max())
     if peak <= 0.0:
         raise NumericError("degenerate Farkas certificate")
@@ -137,16 +204,22 @@ def _elastic_lp(kmat: Array, rhs: Array) -> tuple[Array | None, Array | None]:
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Decide ``K a = t, a >= 0`` and optimize ``objective @ a`` when given.
 
-    Returns one of the two Farkas alternatives with a verifying witness:
-    either a nonnegative solution with residual below the feasibility
-    tolerance, or a certificate vector proving no such solution exists.
-    Without an objective this is one solve, of the elastic LP; with one it
-    is one ``milp`` solve, and a system that ``milp`` does not solve to
-    optimality (infeasible, unbounded or failed) raises ``NumericError``.
+    ``K`` may be dense or ``scipy.sparse``.  Returns one of the two Farkas
+    alternatives with a verifying witness: either a nonnegative solution
+    with residual below the feasibility tolerance, or a certificate vector
+    proving no such solution exists.  Without an objective this is one
+    solve, of the elastic LP; with one it is one solve of the LP itself, and
+    a system that HiGHS does not solve to optimality (infeasible, unbounded
+    or failed) raises ``NumericError``.
     """
-    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+    from scipy.sparse import csc_array, issparse
 
-    kmat = as_matrix(lp.constraint_matrix, "constraint matrix")
+    if issparse(lp.constraint_matrix):
+        kmat = csc_array(lp.constraint_matrix, dtype=float)
+        if min(kmat.shape) < 1 or not np.all(np.isfinite(kmat.data)):
+            raise ValueError(f"constraint matrix must be nonempty and finite, got shape {kmat.shape}")
+    else:
+        kmat = csc_array(as_matrix(lp.constraint_matrix, "constraint matrix"))
     rhs = np.asarray(lp.rhs, dtype=float)
     m, n = kmat.shape
     if rhs.shape != (m,):
@@ -164,15 +237,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
             raise ValueError(f"objective must have length {n}, got shape {cost.shape}")
         if not np.all(np.isfinite(cost)):
             raise ValueError("objective contains non-finite entries")
-        res = milp(
-            cost,
-            bounds=Bounds(0.0, np.inf),
-            constraints=LinearConstraint(kmat, rhs, rhs),
-            options={"presolve": False},
-        )
-        if res.status != 0:
-            raise NumericError(f"LP solver failed: {res.message}")
-        solution = np.array(res.x, dtype=float)
+        solution = _highs(cost, kmat, rhs)[0]
 
     rhs_scale = 1.0 + float(np.abs(rhs).max())
     if (
@@ -182,17 +247,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         # At its default tolerance HiGHS may return a point off the polytope
         # by up to 1e-7: a basic entry below zero, or the row of a tiny
         # marginal weight left unmet.  Re-solve once at the tightest one.
-        res = linprog(
-            cost,
-            A_eq=kmat,
-            b_eq=rhs,
-            bounds=(0, None),
-            method="highs",
-            options={"presolve": False, "primal_feasibility_tolerance": HIGHS_TIGHT_TOL},
-        )
-        if res.status != 0:
-            raise NumericError(f"LP solver failed at tight tolerance: {res.message}")
-        solution = np.array(res.x, dtype=float)
+        solution = _highs(cost, kmat, rhs, tight=True)[0]
 
     solution[(solution < 0.0) & (solution > -HIGHS_TIGHT_TOL)] = 0.0
     if solution.min() < -HIGHS_TIGHT_TOL:

@@ -12,6 +12,7 @@ from helpers import (
     with_row_residual,
 )
 import pframes.duality
+import pframes.optim
 from pframes import linalg
 from pframes.duality import (
     CERTIFICATE_TOL,
@@ -369,11 +370,13 @@ def test_infeasible_pair_makes_at_most_one_highs_solve(monkeypatch, kind):
         atoms = rng.normal(size=(6, 2))
         mu = DiscreteMeasure(atoms=atoms - atoms.mean(axis=0), weights=np.full(6, 1.0 / 6.0))
         nu = DiscreteMeasure(atoms=rng.normal(size=(3, 2)), weights=np.full(3, 1.0 / 3.0))
-    calls = counting(monkeypatch, scipy.optimize, "linprog", "milp")
+    wrappers = counting(monkeypatch, scipy.optimize, "linprog", "milp")
+    calls = counting(monkeypatch, pframes.optim, "_highs")
     result = find_transport_dual(mu, nu)
     assert isinstance(result, FarkasCertificate)
     assert certificate_is_valid(result, mu, nu)
     assert len(calls) == HIGHS_SOLVES[kind]
+    assert wrappers == []
 
 
 @settings(max_examples=80)

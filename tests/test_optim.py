@@ -123,10 +123,156 @@ def test_infeasible_system_with_an_objective_raises():
 def test_feasibility_question_is_one_elastic_solve(monkeypatch, rhs):
     import scipy.optimize
 
-    calls = counting(monkeypatch, scipy.optimize, "linprog", "milp")
+    wrappers = counting(monkeypatch, scipy.optimize, "linprog", "milp")
+    calls = counting(monkeypatch, pframes.optim, "_highs")
     out = solve_lp(LinearProgram(np.array([[1.0, 2.0]]), np.array(rhs)))
     assert out.status == ("feasible" if rhs[0] > 0 else "infeasible")
-    assert calls == ["linprog"]
+    assert calls == ["_highs"]
+    assert wrappers == []
+
+
+# --- the private HiGHS binding against scipy's public linprog ----------------
+# solve_lp calls HiGHS through scipy's private bindings; these oracles fail
+# loudly if a scipy release moves or changes them.
+
+
+def oracle(cost, kmat, rhs, tight=False):
+    """scipy's public ``linprog(method="highs")`` on ``min cost^T a  s.t.  K a
+    = t, a >= 0``, at the tightest tolerances when ``tight``."""
+    from scipy.optimize import linprog
+
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    return linprog(
+        cost, A_eq=kmat, b_eq=rhs, bounds=(0, None), method="highs", options=options if tight else {}
+    )
+
+
+def assert_same_optimum(value, reference):
+    assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
+
+
+def test_marginal_rows_match_the_dense_kron_blocks():
+    rng = np.random.default_rng(3)
+    head = rng.normal(size=(4, 15)) * (rng.random((4, 15)) < 0.6)
+    for n, m, top in [(1, 1, None), (3, 5, None), (3, 5, head)]:
+        dense = np.vstack([np.kron(np.eye(n), np.ones((1, m))), np.kron(np.ones((1, n)), np.eye(m))])
+        if top is not None:
+            dense = np.vstack([top, dense])
+        rows = pframes.optim.marginal_rows(n, m, head=top)
+        assert rows.format == "csc" and rows.has_sorted_indices
+        assert np.array_equal(rows.toarray(), dense)
+        assert rows.nnz == np.count_nonzero(dense)
+
+
+def test_elastic_systems_agree_with_linprog():
+    from scipy.sparse import csc_array
+
+    rng = np.random.default_rng(4048)
+    seen = set()
+    for trial in range(60):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+        kmat = rng.normal(size=(m, n))
+        rhs = kmat @ np.abs(rng.normal(size=n)) if trial % 2 == 0 else rng.normal(size=m)
+        out = solve_lp(LinearProgram(kmat, rhs))
+        reference = oracle(np.zeros(n), kmat, rhs)
+        assert reference.status in (0, 2)
+        assert out.status == ("feasible" if reference.status == 0 else "infeasible")
+        seen.add(out.status)
+        if out.status == "infeasible":
+            assert certificate_holds(out.dual_certificate, kmat, rhs)
+        # The elastic LP itself, through the binding and through linprog.
+        elastic = np.hstack([kmat, np.eye(m), -np.eye(m)])
+        cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
+        value = pframes.optim._highs(cost, csc_array(elastic), rhs)[2]
+        assert_same_optimum(value, oracle(cost, elastic, rhs).fun)
+    assert seen == {"feasible", "infeasible"}
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.0])
+def test_w2_lps_agree_with_linprog(alpha):
+    rng = np.random.default_rng([2, int(10 * alpha)])
+    for n, m in [(8, 12), (20, 14), (30, 22), (6, 6)]:
+        weights = [rng.dirichlet(np.full(k, alpha)) for k in (n, m)]
+        cost = squared_distance_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2))).ravel()
+        rows = pframes.optim.marginal_rows(n, m)
+        rhs = np.concatenate(weights)
+        out = solve_lp(LinearProgram(rows, rhs, objective=cost))
+        reference = oracle(cost, rows.toarray(), rhs, tight=True)
+        assert out.status == "feasible" and reference.status == 0
+        assert_same_optimum(float(cost @ out.solution), reference.fun)
+
+
+TINY_WEIGHT_SEEDS = [0, 13, 14, 17]
+
+
+def tiny_weight_lp(seed):
+    """The W2 LP of ``test_tiny_marginal_weights_are_met``: Dirichlet(1/5)
+    weights on 20 atoms in 2-d, some near 1e-10."""
+    rng = np.random.default_rng(seed)
+    mu_atoms, mu_weights = rng.normal(size=(20, 2)), rng.dirichlet(np.full(20, 0.2))
+    nu_atoms, nu_weights = rng.normal(size=(20, 2)), rng.dirichlet(np.full(20, 0.2))
+    cost = squared_distance_matrix(mu_atoms, nu_atoms).ravel()
+    return LinearProgram(
+        pframes.optim.marginal_rows(20, 20), np.concatenate([mu_weights, nu_weights]), cost
+    )
+
+
+@pytest.mark.parametrize("seed", TINY_WEIGHT_SEEDS)
+def test_tiny_weight_lps_agree_with_linprog(seed):
+    lp = tiny_weight_lp(seed)
+    out = solve_lp(lp)
+    reference = oracle(lp.objective, lp.constraint_matrix.toarray(), lp.rhs, tight=True)
+    assert out.status == "feasible" and reference.status == 0
+    assert_same_optimum(float(lp.objective @ out.solution), reference.fun)
+
+
+def test_tiny_weights_take_the_tight_re_solve(monkeypatch):
+    # HiGHS at its default tolerance leaves a tiny marginal weight unmet;
+    # solve_lp solves once more, at HIGHS_TIGHT_TOL.
+    solve = pframes.optim._highs
+    calls = []
+
+    def recorded(*args, tight=False):
+        calls[-1].append(tight)
+        return solve(*args, tight=tight)
+
+    monkeypatch.setattr(pframes.optim, "_highs", recorded)
+    for seed in TINY_WEIGHT_SEEDS:
+        calls.append([])
+        assert solve_lp(tiny_weight_lp(seed)).status == "feasible"
+    assert all(tights in ([False], [False, True]) for tights in calls)
+    assert [False, True] in calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transport_dual_systems_agree_with_linprog(seed):
+    from pframes.duality import FarkasCertificate, canonical_dual, certificate_is_valid
+    from pframes.measures import DiscreteMeasure
+
+    # A zero-centroid frame against generic points off any common
+    # hyperplane (infeasible), or against a split copy of its canonical dual
+    # (feasible), as find_transport_dual poses them.
+    rng = np.random.default_rng([seed, 5])
+    n, d = 9, 2
+    atoms = rng.normal(size=(n, d))
+    mu = DiscreteMeasure(atoms - atoms.mean(axis=0), np.full(n, 1.0 / n))
+    if seed % 2:
+        dual = canonical_dual(mu).atoms
+        psi = np.vstack([dual[:-1], dual[-1] + 0.3, dual[-1] - 0.3])
+        nu = DiscreteMeasure(psi, np.append(mu.weights[:-1], [0.5 / n, 0.5 / n]))
+    else:
+        nu = DiscreteMeasure(rng.normal(size=(d + 2, d)), np.full(d + 2, 1.0 / (d + 2)))
+    m = nu.count
+    kmat = pframes.optim.marginal_rows(n, m, head=np.kron(mu.atoms.T, nu.atoms.T))
+    rhs = np.concatenate([np.eye(d).ravel(), mu.weights, nu.weights])
+    out = solve_lp(LinearProgram(kmat, rhs))
+    reference = oracle(np.zeros(n * m), kmat.toarray(), rhs)
+    assert out.status == ("feasible" if reference.status == 0 else "infeasible")
+    assert out.status == ("feasible" if seed % 2 else "infeasible")
+    if out.status == "infeasible":
+        y = out.dual_certificate
+        cert = FarkasCertificate(B=y[: d * d].reshape(d, d), u=y[d * d : d * d + n], v=y[d * d + n :])
+        assert certificate_is_valid(cert, mu, nu)
 
 
 def test_dimension_validation():
@@ -134,6 +280,19 @@ def test_dimension_validation():
         solve_lp(LinearProgram(np.ones((2, 2)), np.ones(3)))
     with pytest.raises(ValueError):
         solve_lp(LinearProgram(np.ones((2, 2)), np.ones(2), objective=np.ones(3)))
+
+
+def test_sparse_constraint_matrix_is_checked_and_solved_alike():
+    from scipy.sparse import csc_array, csr_array
+
+    with pytest.raises(ValueError, match="nonempty and finite"):
+        solve_lp(LinearProgram(csc_array(np.array([[1.0, np.inf]])), np.ones(1)))
+    with pytest.raises(ValueError, match="nonempty and finite"):
+        solve_lp(LinearProgram(csr_array((0, 2)), np.ones(0)))
+    kmat, rhs = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.5])
+    dense = solve_lp(LinearProgram(kmat, rhs, objective=np.array([1.0, 2.0])))
+    sparse = solve_lp(LinearProgram(csr_array(kmat), rhs, objective=np.array([1.0, 2.0])))
+    assert np.array_equal(dense.solution, sparse.solution)
 
 
 def test_best_transposition_is_the_largest_gain_first_in_row_order():
