@@ -7,9 +7,11 @@ Run from the repository root (tier-1 collects only ``tests/``):
 
 ``wasserstein2`` runs on 3-d normal atoms between uniform measures at n = 40
 and 200 (the assignment route) and between Dirichlet(1) weights at n = 40,
-200 and 400 (the LP route, on sparse marginal rows), and from a
+200 and 400 (the LP route, on sparse marginal rows), from a
 Dirichlet-weighted frame to its canonical dual (the identity pairing,
-certified without a solver).  ``geodesic_profile`` runs at
+certified without a solver), and over ten pairs of 2-d normal atoms with
+unfloored Dirichlet(0.2) weights at n = 20 and 30 (the LP route on tiny
+marginals, some near 1e-10).  ``geodesic_profile`` runs at
 n = 16 and 50, from a uniform 3-d frame to its canonical dual, on the
 default 101-point grid.  ``is_cyclically_monotone`` runs at n = 150 on 3-d
 normal points, unpaired (an improving transposition decides) and paired
@@ -41,6 +43,17 @@ def test_wasserstein2(benchmark, weights, n):
     mu, nu = measure(rng, n, weights), measure(rng, n, weights)
     solution = benchmark(wasserstein2, mu, nu)
     assert (solution.permutation is not None) == (weights == "uniform")
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_wasserstein2_tiny_weights(benchmark, n):
+    rng = np.random.default_rng([n, 2])
+    pairs = [
+        [DiscreteMeasure(rng.normal(size=(n, 2)), rng.dirichlet(np.full(n, 0.2))) for _ in range(2)]
+        for _ in range(10)
+    ]
+    solutions = benchmark(lambda: [wasserstein2(mu, nu) for mu, nu in pairs])
+    assert all(solution.permutation is None for solution in solutions)
 
 
 @pytest.mark.parametrize("n", [16, 50])

@@ -3,7 +3,8 @@
 
 Sweeps two contrasting paths: a random frame joined to its canonical dual
 (every interpolant stays a frame) and the antipodal basis pair whose optimal
-pairing collapses the support at the midpoint.  Writes one CSV per path.
+pairing collapses the support at the midpoint, found off the grid too (its
+``singular_t``).  Writes one CSV per path.
 """
 
 import argparse
@@ -50,7 +51,8 @@ def main():
     mid = np.argmin(np.abs(antipodal.ts - 0.5))
     print(
         f"antipodal pair: all_frames={antipodal.all_frames}, "
-        f"lambda_min at t=0.5 is {antipodal.lower_bounds[mid]:.3e}"
+        f"singular_t={antipodal.singular_t:.6f}, "
+        f"lambda_min at grid t={antipodal.ts[mid]:.4f} is {antipodal.lower_bounds[mid]:.3e}"
     )
     print(f"profiles written to {args.outdir}/")
 

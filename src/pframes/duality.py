@@ -36,7 +36,7 @@ from .measures import (
     merge_duplicate_atoms,
     weights_equal,
 )
-from .optim import HIGHS_TIGHT_TOL, LinearProgram, marginal_rows, solve_lp
+from .optim import HIGHS_TIGHT_TOL, marginal_rows, solve_lp
 
 Array = np.ndarray
 
@@ -86,9 +86,10 @@ class TransportPlan:
     def from_solver(cls, row_measure, col_measure, coupling) -> TransportPlan:
         """Wrap a coupling made by a solver.
 
-        ``solve_lp`` accepts residuals up to ``FEASIBILITY_TOL * (1 +
-        max|t|)``, looser than ``PLAN_TOL``; a solver point that fails the
-        plan checks is a numeric failure, not an input error.
+        A guard: ``solve_lp`` accepts a residual only up to
+        ``FEASIBILITY_TOL``, no looser than ``PLAN_TOL`` on each marginal; a
+        solver point that still fails the plan checks is a numeric failure,
+        not an input error.
         """
         try:
             return cls(row_measure, col_measure, coupling)
@@ -289,7 +290,7 @@ def find_transport_dual(
     # sparse marginal rows.
     kprime = marginal_rows(n, m, head=np.kron(phi.T, psi.T))
     tprime = np.concatenate([np.eye(d).ravel(), alpha, beta])
-    outcome = solve_lp(LinearProgram(constraint_matrix=kprime, rhs=tprime))
+    outcome = solve_lp(kprime, tprime)
 
     if outcome.status == "feasible":
         plan = TransportPlan.from_solver(mu_m, nu_m, outcome.solution.reshape(n, m))

@@ -3,13 +3,14 @@
 Interpolating an optimal plan through ``(x, y) -> (1-t) x + t y`` produces
 the constant-speed geodesic ``mu_t`` between two measures.  Every ``mu_t``
 keeps a finite second moment; whether it stays a probabilistic frame depends
-on the endpoints, and this module certifies it along a parameter grid, where
-the frame operator of ``mu_t`` is a quadratic in ``t`` with three moment
-matrices of the plan as coefficients.  Two
-sufficient conditions are implemented for uniform equal-cardinality frames
-(the segment-rank eigenvalue test and the coherence bound forcing the
-identity pairing), plus the closed-form Gaussian case where the optimal
-coupling is a linear PSD map.
+on the endpoints, and this module certifies it on all of [0, 1].  The frame
+operator of ``mu_t`` is a quadratic in ``t`` with three moment matrices of
+the plan as coefficients: a parameter grid samples its bounds, and the roots
+of its determinant, from one companion eigenvalue problem, decide the points
+in between.  Two sufficient conditions are implemented for uniform
+equal-cardinality frames (the segment-rank eigenvalue test and the coherence
+bound forcing the identity pairing), plus the closed-form Gaussian case
+where the optimal coupling is a linear PSD map.
 """
 
 from __future__ import annotations
@@ -35,19 +36,23 @@ Array = np.ndarray
 
 DEFAULT_GRID = 101
 GEODESIC_IDENTITY_TOL = 1e-6
+# Nearly real roots of det S(t) kept by ``_det_roots``, in units of the
+# round-off split sqrt(eps cond(a)) of a double root.
+SPLIT_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
 class GeodesicProfile:
     """Frame bounds and second moments sampled along a geodesic.
-    ``all_frames`` means a frame at every grid point, not between grid
-    points (ROADMAP item 9)."""
+    ``all_frames`` means a frame at every ``t`` in [0, 1], grid or not;
+    otherwise ``singular_t`` is the first ``t`` where it is not."""
 
     ts: Array
     lower_bounds: Array
     upper_bounds: Array
     second_moments: Array
     all_frames: bool
+    singular_t: float | None = None
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,31 @@ def _quadratic_path(ts: Array, a: Array, b: Array, c: Array) -> tuple[Array, Arr
     return np.linalg.eigvalsh(s), np.trace(s, axis1=1, axis2=2)
 
 
+def _det_roots(a: Array, b: Array, c: Array) -> Array:
+    """The real parts of the nearly real roots in [0, 1] of ``det S(t)``,
+    ``S(t) = (1-t)^2 a + t(1-t) (b + b^T) + t^2 c``, for positive definite
+    ``a``: every ``t`` where ``S(t)`` can be singular, off any grid, for the
+    caller to confirm.
+
+    Written ``S(t) = a + t K1 + t^2 K2`` and scaled by ``R = a^{-1/2}``,
+    ``det S(t) = 0`` exactly when ``s = 1/t`` is an eigenvalue of the
+    companion matrix ``[[-R K1 R, -R K2 R], [I, 0]]``.  ``S(t)`` is PSD for
+    every real ``t``, so its real roots are double, and round-off splits
+    them by about ``sqrt(eps cond(a))`` into nearly real pairs: the roots
+    kept have imaginary part within ``SPLIT_FACTOR`` times that split.
+    """
+    d = a.shape[0]
+    k1, k2 = b + b.T - 2.0 * a, a - b - b.T + c
+    w, q = np.linalg.eigh(a)
+    r = (q / np.sqrt(w)) @ q.T
+    companion = np.eye(2 * d, k=-d)
+    companion[:d, :d], companion[:d, d:] = -r @ k1 @ r, -r @ k2 @ r
+    s = np.linalg.eigvals(companion)
+    t = 1.0 / s[s != 0.0]
+    split = SPLIT_FACTOR * np.sqrt(np.finfo(float).eps * w[-1] / w[0])
+    return t.real[(np.abs(t.imag) <= split) & (t.real >= 0.0) & (t.real <= 1.0)]
+
+
 def geodesic_profile(
     mu0: DiscreteMeasure, mu1: DiscreteMeasure, grid_size: int = DEFAULT_GRID
 ) -> GeodesicProfile:
@@ -129,8 +159,9 @@ def geodesic_profile(
     ``B = sum p_k x_k y_k^T`` and ``C = sum p_k y_k y_k^T``; one batched
     ``eigvalsh`` over the grid gives the bounds, with ``frame_report``'s
     rules, and the second moment is the trace.  ``all_frames`` holds when
-    every grid point is a frame; ``S(t)`` between grid points is not checked
-    (ROADMAP item 9).  The constant-speed identity ``W(mu0, mu_t) + W(mu_t,
+    ``S(t)`` is a frame at every ``t`` in [0, 1]: at every grid point and
+    at every root of ``det S(t)`` (``_det_roots``), by the same rule;
+    ``singular_t`` is the first ``t`` where it is not.  The constant-speed identity ``W(mu0, mu_t) + W(mu_t,
     mu1) = W(mu0, mu1)`` is checked at up to three interior grid points, each
     half certified by the potentials ``t u`` and ``(1-t) v`` carried along
     the geodesic.
@@ -166,14 +197,18 @@ def geodesic_profile(
     a = xs.T @ (mass[:, None] * xs)
     b = xs.T @ (mass[:, None] * ys)
     c = ys.T @ (mass[:, None] * ys)
-    spectra, moments = _quadratic_path(ts, a, b, c)
+    # The grid, then the roots of det S(t) between its points, in one solve.
+    points = np.concatenate([ts, _det_roots(a, b, c)])
+    spectra, moments = _quadratic_path(points, a, b, c)
     lows, highs = spectra[:, 0], spectra[:, -1]
+    singular = points[lows <= pd_threshold(highs)]
     return GeodesicProfile(
         ts=ts,
-        lower_bounds=np.maximum(lows, 0.0),
-        upper_bounds=highs,
-        second_moments=moments,
-        all_frames=bool(np.all(lows > pd_threshold(highs))),
+        lower_bounds=np.maximum(lows[:grid_size], 0.0),
+        upper_bounds=highs[:grid_size],
+        second_moments=moments[:grid_size],
+        all_frames=singular.size == 0,
+        singular_t=float(singular.min()) if singular.size else None,
     )
 
 
@@ -183,7 +218,11 @@ def szulc_condition(phi: Array, psi_sigma: Array) -> bool:
     Both analysis matrices (N x d) must have rank d.  The condition holds
     when ``pinv(Psi_sigma) @ Phi`` has no eigenvalue on the negative real
     axis; in that case the segment keeps rank d for every t in [0, 1], which
-    is spot-verified on an 11-point grid.
+    is verified by ``numeric_rank`` at every root of ``det S(t)``
+    (``_det_roots``), ``S(t)`` the Gram matrix of the segment whitened by
+    ``R^{-1}`` (``Phi = Q R``): ``a = I``, ``b = Q^T Psi_sigma R^{-1}`` and
+    ``c = R^{-T} Psi_sigma^T Psi_sigma R^{-1}``, so the Gram matrices never
+    square the condition number of ``Phi``.
     """
     phi = linalg.as_matrix(phi, "phi")
     psi_sigma = linalg.as_matrix(psi_sigma, "psi_sigma")
@@ -194,7 +233,9 @@ def szulc_condition(phi: Array, psi_sigma: Array) -> bool:
         raise ValueError("both analysis matrices must have full column rank")
     ok = not linalg.has_negative_real_eigenvalue(linalg.pinv(psi_sigma) @ phi)
     if ok:
-        for t in np.linspace(0.0, 1.0, 11):
+        q, r = np.linalg.qr(phi)
+        psi_w = np.linalg.solve(r.T, psi_sigma.T).T
+        for t in _det_roots(np.eye(d), q.T @ psi_w, psi_w.T @ psi_w):
             if linalg.numeric_rank((1.0 - t) * phi + t * psi_sigma) != d:
                 raise NumericError(f"segment rank dropped at t={t} despite eigenvalue test")
     return ok

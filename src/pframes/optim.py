@@ -4,27 +4,28 @@ Kantorovich potentials.
 ``solve_lp`` decides feasibility of ``K a = t, a >= 0`` and, with an
 objective, optimizes over that set, using the HiGHS dual revised simplex
 (Huangfu and Hall, Math. Prog. Comp. 2018) shipped with scipy.  Every LP is
-one call into scipy's HiGHS bindings (``_highs``), with no ``linprog`` or
-``milp`` front-end, on a ``scipy.sparse`` CSC matrix written column by
-column: ``marginal_rows`` builds the transportation polytope's rows from
-index arrays, below dense head rows when a caller has them.  Without an
-objective ``solve_lp`` solves one LP, the elastic LP ``min 1^T (s+ + s-)
-s.t.  K a + s+ - s- = t``: zero slack (up to the feasibility tolerance)
-gives the solution, positive slack gives a Farkas certificate ``y``
-satisfying ``y^T K >= 0`` and ``y^T t < 0`` (up to the stated tolerances),
-read off its row duals.  With an objective it solves the LP itself, and any
-status but optimal is a ``NumericError``: W2, the one such caller, solves
-over a transportation polytope, never empty and with its cost bounded.
-Feasible systems come back with a solution whose nonnegativity and residual
-are re-checked here; a point that HiGHS accepts at its default tolerance but
-that misses a bound or a row by more than round-off is re-solved once at the
-tightest tolerance.  The certificate is re-validated before it is returned,
-never emitted unchecked.  The intended scale is couplings up to roughly 50 x
-50, and W2 on a few hundred atoms.
+one call into scipy's HiGHS bindings (``_highs``), at its tightest primal
+feasibility tolerance ``HIGHS_TIGHT_TOL``, with no ``linprog`` or ``milp``
+front-end, on a ``scipy.sparse`` CSC matrix written column by column:
+``marginal_rows`` builds the transportation polytope's rows from index
+arrays, below dense head rows when a caller has them.  Without an objective
+``solve_lp`` solves one LP, the elastic LP ``min 1^T (s+ + s-)  s.t.  K a +
+s+ - s- = t``: zero slack (up to ``FEASIBILITY_TOL``) gives the solution,
+positive slack gives a Farkas certificate ``y`` satisfying ``y^T K >= 0``
+and ``y^T t < 0`` (up to the stated tolerances), read off its row duals.
+With an objective it solves the LP itself, returns its row duals with the
+point, and any status but optimal is a ``NumericError``: W2, the one such
+caller, solves over a transportation polytope, never empty and with its cost
+bounded, and certifies its plan by those duals.  A solution's nonnegativity
+and residual are re-checked here, the residual against ``FEASIBILITY_TOL``
+itself, so no point off a weight row by more than ``PLAN_TOL`` is accepted.
+The certificate is re-validated before it is returned, never emitted
+unchecked.  The intended scale is couplings up to roughly 50 x 50, and W2 on
+a few hundred atoms.
 
-``kantorovich_potentials`` finds dual potentials ``(u, v)`` for the support
-of a transportation coupling by Bellman-Ford on its difference constraints,
-and ``certify_potentials`` checks that they prove the coupling optimal:
+``kantorovich_potentials`` finds dual potentials ``(u, v)`` for a
+permutation of a square cost by Bellman-Ford on its difference constraints,
+and ``certify_potentials`` checks that potentials prove a coupling optimal:
 dual feasibility and a zero primal-dual gap, both to ``OPTIMALITY_RTOL``.
 
 ``best_transposition`` and ``identity_bound`` decide, without an assignment
@@ -70,32 +71,23 @@ ROUNDOFF_RTOL = 1e-14
 # Relative bound, on 1 + |optimal value|, for the slack and the primal-dual
 # gap of a Kantorovich potentials certificate.
 OPTIMALITY_RTOL = 1e-8
-# HiGHS counts bound and row violations up to its primal feasibility
-# tolerance (1e-7 by default) as feasible; this is the tightest it accepts.
-# A returned LP entry above -HIGHS_TIGHT_TOL is round-off and reads as zero.
+# Every solve runs at HiGHS' tightest primal feasibility tolerance (its
+# default, 1e-7, lets points off the polytope through); a returned LP entry
+# above -HIGHS_TIGHT_TOL is round-off and reads as zero.
 HIGHS_TIGHT_TOL = 1e-10
 # Assignment values within ASSIGNMENT_RTOL * (1 + |value|) of each other tie.
 ASSIGNMENT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """``constraint_matrix @ a == rhs`` with ``a >= 0``; objective optional.
-    The constraint matrix may be dense or ``scipy.sparse``."""
-
-    constraint_matrix: object
-    rhs: Array
-    objective: Array | None = None
-
-
-@dataclass(frozen=True)
 class LpOutcome:
     """Exactly one of ``solution`` (status feasible) or ``dual_certificate``
-    (status infeasible) is set."""
+    (status infeasible) is set, with the ``row_duals`` of an optimized LP."""
 
     status: str
     solution: Array | None = None
     dual_certificate: Array | None = None
+    row_duals: Array | None = None
 
 
 def marginal_rows(n: int, m: int, head: Array | None = None):
@@ -129,11 +121,11 @@ def marginal_rows(n: int, m: int, head: Array | None = None):
     return csc_array((data, indices, indptr), shape=(top + n + m, n * m))
 
 
-def _highs(cost: Array, kmat, rhs: Array, tight: bool = False) -> tuple[Array, Array, float]:
+def _highs(cost: Array, kmat, rhs: Array) -> tuple[Array, Array, float]:
     """One HiGHS solve of ``min cost^T a  s.t.  K a = t, a >= 0`` for a CSC
     ``kmat``: presolve and output off, the primal feasibility tolerance
-    HiGHS's default or, when ``tight``, ``HIGHS_TIGHT_TOL``.  Returns the
-    point, the row duals and the objective; any model status but optimal
+    ``HIGHS_TIGHT_TOL``.  Returns the point, the row duals ``y`` (reduced
+    costs ``cost - K^T y``) and the objective; any model status but optimal
     (infeasible, unbounded or failed) raises ``NumericError``.
     """
     # scipy's private HiGHS bindings, scipy.optimize._highspy._core (run on scipy 1.17.1).
@@ -152,14 +144,12 @@ def _highs(cost: Array, kmat, rhs: Array, tight: bool = False) -> tuple[Array, A
     highs = _core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
-    if tight:
-        highs.setOptionValue("primal_feasibility_tolerance", HIGHS_TIGHT_TOL)
+    highs.setOptionValue("primal_feasibility_tolerance", HIGHS_TIGHT_TOL)
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
     if status != _core.HighsModelStatus.kOptimal:
-        at = " at tight tolerance" if tight else ""
-        raise NumericError(f"LP solver failed{at}: {highs.modelStatusToString(status)}")
+        raise NumericError(f"LP solver failed: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     objective = float(highs.getInfo().objective_function_value)
     return np.array(solution.col_value), np.array(solution.row_dual), objective
@@ -170,11 +160,11 @@ def _elastic_lp(kmat, rhs: Array) -> tuple[Array | None, Array | None]:
     variable nonnegative; return ``(a, None)`` or ``(None, y)``.
 
     The slack columns ``+I`` and ``-I`` are appended to the CSC ``kmat``.  A
-    slack within ``FEASIBILITY_TOL * (1 + max|t|)`` gives the ``a`` part,
-    still to be checked by the caller.  A larger slack gives the row duals
-    as a Farkas certificate: the elastic dual is ``max t^T z  s.t.  K^T z <=
-    0, |z| <= 1``, so ``y = -z`` scaled to unit max-norm has ``y^T K >= 0``
-    and ``y^T t <= -slack``.  It is re-validated before it is returned.
+    slack within ``FEASIBILITY_TOL`` gives the ``a`` part, still to be
+    checked by the caller.  A larger slack gives the row duals as a Farkas
+    certificate: the elastic dual is ``max t^T z  s.t.  K^T z <= 0, |z| <=
+    1``, so ``y = -z`` scaled to unit max-norm has ``y^T K >= 0`` and ``y^T t
+    <= -slack``.  It is re-validated before it is returned.
     """
     from scipy.sparse import csc_array
 
@@ -189,7 +179,7 @@ def _elastic_lp(kmat, rhs: Array) -> tuple[Array | None, Array | None]:
         shape=(m, n + 2 * m),
     )
     x, duals, slack = _highs(np.concatenate([np.zeros(n), np.ones(2 * m)]), elastic, rhs)
-    if slack <= FEASIBILITY_TOL * (1.0 + float(np.abs(rhs).max())):
+    if slack <= FEASIBILITY_TOL:
         return x[:n], None
     cert = -duals
     peak = float(np.abs(cert).max())
@@ -201,95 +191,82 @@ def _elastic_lp(kmat, rhs: Array) -> tuple[Array | None, Array | None]:
     return None, cert
 
 
-def solve_lp(lp: LinearProgram) -> LpOutcome:
+def solve_lp(constraint_matrix, rhs, objective=None) -> LpOutcome:
     """Decide ``K a = t, a >= 0`` and optimize ``objective @ a`` when given.
 
     ``K`` may be dense or ``scipy.sparse``.  Returns one of the two Farkas
     alternatives with a verifying witness: either a nonnegative solution
-    with residual below the feasibility tolerance, or a certificate vector
+    with residual at most ``FEASIBILITY_TOL``, or a certificate vector
     proving no such solution exists.  Without an objective this is one
-    solve, of the elastic LP; with one it is one solve of the LP itself, and
-    a system that HiGHS does not solve to optimality (infeasible, unbounded
-    or failed) raises ``NumericError``.
+    solve, of the elastic LP; with one it is one solve of the LP itself,
+    whose row duals come back with the solution, and a system that HiGHS
+    does not solve to optimality (infeasible, unbounded or failed) raises
+    ``NumericError``.
     """
     from scipy.sparse import csc_array, issparse
 
-    if issparse(lp.constraint_matrix):
-        kmat = csc_array(lp.constraint_matrix, dtype=float)
+    if issparse(constraint_matrix):
+        kmat = csc_array(constraint_matrix, dtype=float)
         if min(kmat.shape) < 1 or not np.all(np.isfinite(kmat.data)):
             raise ValueError(f"constraint matrix must be nonempty and finite, got shape {kmat.shape}")
     else:
-        kmat = csc_array(as_matrix(lp.constraint_matrix, "constraint matrix"))
-    rhs = np.asarray(lp.rhs, dtype=float)
+        kmat = csc_array(as_matrix(constraint_matrix, "constraint matrix"))
+    rhs = np.asarray(rhs, dtype=float)
     m, n = kmat.shape
     if rhs.shape != (m,):
         raise ValueError(f"rhs must have length {m}, got shape {rhs.shape}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains non-finite entries")
-    cost = np.zeros(n)
-    if lp.objective is None:
+    duals = None
+    if objective is None:
         solution, cert = _elastic_lp(kmat, rhs)
         if cert is not None:
             return LpOutcome(status="infeasible", dual_certificate=cert)
     else:
-        cost = np.asarray(lp.objective, dtype=float)
+        cost = np.asarray(objective, dtype=float)
         if cost.shape != (n,):
             raise ValueError(f"objective must have length {n}, got shape {cost.shape}")
         if not np.all(np.isfinite(cost)):
             raise ValueError("objective contains non-finite entries")
-        solution = _highs(cost, kmat, rhs)[0]
-
-    rhs_scale = 1.0 + float(np.abs(rhs).max())
-    if (
-        solution.min() < -HIGHS_TIGHT_TOL
-        or float(np.abs(kmat @ solution - rhs).max()) > HIGHS_TIGHT_TOL * rhs_scale
-    ):
-        # At its default tolerance HiGHS may return a point off the polytope
-        # by up to 1e-7: a basic entry below zero, or the row of a tiny
-        # marginal weight left unmet.  Re-solve once at the tightest one.
-        solution = _highs(cost, kmat, rhs, tight=True)[0]
+        solution, duals, _ = _highs(cost, kmat, rhs)
 
     solution[(solution < 0.0) & (solution > -HIGHS_TIGHT_TOL)] = 0.0
     if solution.min() < -HIGHS_TIGHT_TOL:
         raise NumericError("LP solution has a negative entry")
     residual = float(np.abs(kmat @ solution - rhs).max())
-    if residual > FEASIBILITY_TOL * rhs_scale:
+    if residual > FEASIBILITY_TOL:
         raise NumericError(f"LP solution residual too large: {residual:.3e}")
-    return LpOutcome(status="feasible", solution=solution)
+    return LpOutcome(status="feasible", solution=solution, row_duals=duals)
 
 
-def kantorovich_potentials(cost: Array, support: Array) -> tuple[Array, Array]:
+def kantorovich_potentials(cost: Array, sigma: Array) -> tuple[Array, Array]:
     """Potentials ``(u, v)`` with ``c_ij - u_i - v_j >= 0`` everywhere and
-    ``= 0`` on ``support``, when the support is c-cyclically monotone.
+    ``= 0`` on the assignment ``i -> sigma[i]`` of a square ``cost``, when
+    that assignment is optimal.
 
-    ``v`` is the shortest distance in the column graph with an edge ``j ->
-    j'`` of weight ``c_ij' - c_ij`` for every support entry ``(i, j)`` (row
-    ``i`` moving from column ``j`` to ``j'``), from a virtual source at
-    distance 0 to every column; then ``u_i = c_ij - v_j`` on the support of
-    row ``i`` (the c-transform of ``v`` on a row without support).
+    ``v`` is the shortest distance in the column graph with an edge
+    ``sigma_i -> j`` of weight ``c_ij - c_i,sigma_i`` for every row ``i``
+    (row ``i`` moving from its column to ``j``), from a virtual source at
+    distance 0 to every column; then ``u_i = c_i,sigma_i - v_sigma_i``.
     Vectorised Bellman-Ford, at most one round per column, stopping once no
-    potential moves by more than round-off (``ROUNDOFF_RTOL``): two support
-    entries in one row close a cycle of weight zero, and ties in the cost
-    close more, along which the sums drift by an ulp a round.  A support
-    that is not c-cyclically monotone closes a negative cycle, which only
-    runs out the rounds; nothing raises here, ``certify_potentials``
-    decides what the result proves.
+    potential moves by more than round-off (``ROUNDOFF_RTOL``): ties in the
+    cost close cycles of weight zero, along which the sums drift by an ulp a
+    round.  A non-optimal assignment closes a negative cycle, which only
+    runs out the rounds; nothing raises here, ``certify_potentials`` decides
+    what the result proves.
     """
-    rows, cols = np.nonzero(support)
-    weights = cost[rows] - cost[rows, cols][:, None]
+    rows = np.arange(cost.shape[0])
+    on_support = cost[rows, sigma]
+    weights = cost - on_support[:, None]
     floor = ROUNDOFF_RTOL * (1.0 + float(np.abs(cost).max()))
     v = np.zeros(cost.shape[1])
     for _ in range(cost.shape[1]):
-        relaxed = np.minimum(v, (v[cols][:, None] + weights).min(axis=0))
+        relaxed = np.minimum(v, (v[sigma][:, None] + weights).min(axis=0))
         moved = float((v - relaxed).max())
         v = relaxed
         if moved <= floor:
             break
-    reduced = cost - v[None, :]
-    u = np.where(support, reduced, np.inf).min(axis=1)
-    bare = ~support.any(axis=1)
-    u[bare] = reduced[bare].min(axis=1)
-    return u, v
+    return on_support - v[sigma], v
 
 
 def best_transposition(cost: Array) -> tuple[int, int, float]:
@@ -308,12 +285,12 @@ def best_transposition(cost: Array) -> tuple[int, int, float]:
 
 def identity_bound(cost: Array) -> tuple[tuple[Array, Array], float]:
     """The identity assignment's potentials ``kantorovich_potentials(cost,
-    eye)`` and the weak-duality bound they give on ``trace c`` minus the
+    arange(n))`` and the weak-duality bound they give on ``trace c`` minus the
     optimal assignment cost of a square ``cost``: ``n max(0, -min slack) +
     |gap|`` with ``gap = trace c - sum(u + v)``.
     """
     n = cost.shape[0]
-    u, v = kantorovich_potentials(cost, np.eye(n, dtype=bool))
+    u, v = kantorovich_potentials(cost, np.arange(n))
     slack = float((cost - u[:, None] - v[None, :]).min())
     gap = float(cost.trace()) - float(u.sum() + v.sum())
     return (u, v), n * max(0.0, -slack) + abs(gap)
@@ -397,7 +374,7 @@ def hungarian(cost) -> Array:
     rows, perm = linear_sum_assignment(c)
     best = float(c[rows, perm].sum())
     tol = ASSIGNMENT_RTOL * (1.0 + abs(best))
-    u, v = kantorovich_potentials(c, np.eye(n, dtype=bool)[perm])
+    u, v = kantorovich_potentials(c, perm)
     tight = c - u[:, None] - v[None, :] <= tol / n
 
     owner = np.argsort(perm)

@@ -13,8 +13,10 @@ cyclically monotone (Rockafellar 1966) and the diagonal coupling optimal.
 and its Kantorovich potentials bound its distance from the optimal
 assignment to round-off; ``is_cyclically_monotone`` decides from the same
 two kernels, ``optim.best_transposition`` and ``optim.identity_bound``.  Every
-plan is certified, not re-solved: Kantorovich potentials for its support
-must be dual feasible and close the primal-dual gap.
+plan is certified, not re-solved: its Kantorovich potentials must be dual
+feasible and close the primal-dual gap.  A permutation's potentials come
+from Bellman-Ford on its difference constraints
+(``optim.kantorovich_potentials``), an LP plan's are the LP's own row duals.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .linalg import as_matrix
 from .measures import DiscreteMeasure, weights_equal
 from .optim import (
     ASSIGNMENT_RTOL,
-    MASS_EPS,
-    LinearProgram,
     best_transposition,
     certify_potentials,
     hungarian,
@@ -68,10 +68,11 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     is accepted, the plan is the diagonal coupling and no solver runs.
     Otherwise uniform inputs of equal cardinality (``weights_equal`` to ``1
     / n``) take the assignment route, all others the LP.  Every plan is
-    certified on the one cost matrix: Kantorovich potentials (the
-    identity's, or those of the plan's support, entries above ``MASS_EPS``)
-    must pass ``certify_potentials``, or ``NumericError`` names the minimum
-    slack and the primal-dual gap; the potentials come back with the plan.
+    certified on the one cost matrix: its Kantorovich potentials (the
+    identity's, the permutation's from ``kantorovich_potentials``, or the
+    LP's row duals) must pass ``certify_potentials``, or ``NumericError``
+    names the minimum slack and the primal-dual gap; the potentials come
+    back with the plan.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -91,12 +92,13 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
         value = float((plan.coupling * cost).sum())
     else:
         rhs = np.concatenate([mu.weights, nu.weights])
-        outcome = solve_lp(LinearProgram(marginal_rows(n, m), rhs, objective=cost.ravel()))
+        outcome = solve_lp(marginal_rows(n, m), rhs, cost.ravel())
         coupling = outcome.solution.reshape(n, m)
         value = float((coupling * cost).sum())
         plan = TransportPlan.from_solver(mu, nu, coupling)
+        potentials = outcome.row_duals[:n], outcome.row_duals[n:]
     if potentials is None:
-        potentials = kantorovich_potentials(cost, plan.coupling > MASS_EPS)
+        potentials = kantorovich_potentials(cost, sigma)
     u, v = potentials
     certify_potentials(cost, plan.coupling, mu.weights, nu.weights, u, v, "transport plan")
     return OtSolution(

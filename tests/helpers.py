@@ -1,9 +1,10 @@
 """Shared test utilities: random frames, brute-force oracles, feasible-plan
 generators, a call counter, a ``solve_lp`` wrapper that injects a residual,
-a reference duplicate merge, a per-measure geodesic profile, a per-point
-Gaussian path, and power-cell helpers.  The oracles are independent of the
-solver paths they check."""
+a reference duplicate merge, a per-measure geodesic profile, a dense
+determinant sign scan, a per-point Gaussian path, and power-cell helpers.
+The oracles are independent of the solver paths they check."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 from pframes.geodesics import GeodesicProfile, gaussian_optimal_map, geodesic_measure
 from pframes.measures import DiscreteMeasure, frame_operator, frame_report
-from pframes.optim import FEASIBILITY_TOL, LpOutcome
+from pframes.optim import FEASIBILITY_TOL
 
 MERCEDES_BENZ = np.array(
     [[0.0, 1.0], [-np.sqrt(3.0) / 2.0, -0.5], [np.sqrt(3.0) / 2.0, -0.5]]
@@ -193,17 +194,18 @@ def counting(monkeypatch, module, *names):
 
 def with_row_residual(solve_lp, residual):
     """Wrap ``solve_lp`` so that feasible points come back with ``residual``
-    added to their first entry.  The point must still pass ``solve_lp``'s own
-    residual rule, ``FEASIBILITY_TOL * (1 + max|t|)``."""
+    added to their first entry, after ``solve_lp``'s own residual check.
+    A residual above ``FEASIBILITY_TOL`` stands for a fault past that check,
+    which only ``TransportPlan.from_solver`` can still catch."""
 
-    def perturbed(lp):
-        outcome = solve_lp(lp)
+    def perturbed(*args):
+        outcome = solve_lp(*args)
         if outcome.status != "feasible":
             return outcome
         solution = outcome.solution.copy()
         solution[0] += residual
-        assert residual <= FEASIBILITY_TOL * (1.0 + float(np.abs(lp.rhs).max()))
-        return LpOutcome(status="feasible", solution=solution)
+        assert residual > FEASIBILITY_TOL
+        return dataclasses.replace(outcome, solution=solution)
 
     return perturbed
 
@@ -236,6 +238,19 @@ def profile_by_measures(mu0, mu1, plan, grid_size):
         second_moments=np.array([r.second_moment for r in reports]),
         all_frames=all(r.is_frame for r in reports),
     )
+
+
+def det_sign_changes(x, y, points=200_001):
+    """The ``t`` of a dense grid on [0, 1] after which ``det((1-t) X + t Y)``
+    changes sign, for square ``X`` and ``Y`` of size 2 or 3 (one atom a row):
+    a reference for the off-grid frame test of ``geodesic_profile`` only."""
+    ts = np.linspace(0.0, 1.0, points)
+    m = (1.0 - ts)[:, None, None] * x + ts[:, None, None] * y
+    if x.shape[0] == 2:
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    else:
+        det = np.einsum("ij,ij->i", m[:, 0], np.cross(m[:, 1], m[:, 2]))
+    return ts[np.flatnonzero(np.signbit(det[:-1]) != np.signbit(det[1:]))]
 
 
 def gaussian_path_by_loop(g0, g1, grid_size):

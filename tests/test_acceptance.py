@@ -36,7 +36,7 @@ from pframes.geodesics import (
     geodesic_profile,
 )
 from pframes.measures import DiscreteMeasure, GaussianMeasure, frame_report, pd_threshold
-from pframes.optim import FEASIBILITY_TOL, LinearProgram, hungarian, solve_lp
+from pframes.optim import FEASIBILITY_TOL, hungarian, solve_lp
 from pframes.semidiscrete import (
     GaussianReference,
     adapt_weights,
@@ -284,7 +284,7 @@ def test_10_solver_oracles():
                 rhs = kmat @ np.abs(rng.normal(size=n))
             else:
                 rhs = rng.normal(size=m)
-            outcome = solve_lp(LinearProgram(kmat, rhs))
+            outcome = solve_lp(kmat, rhs)
             assert (outcome.solution is None) != (outcome.dual_certificate is None)
             if outcome.status == "feasible":
                 feasible_seen += 1

@@ -520,7 +520,7 @@ def test_transport_plan_validation():
 
 
 def test_lp_coupling_failing_plan_checks_is_a_numeric_error(monkeypatch):
-    # A 1.5e-8 row residual passes solve_lp (1e-8 * (1 + 1)) but not
+    # A 1.5e-8 row residual, injected past solve_lp's own check, fails
     # PLAN_TOL: the solver's point is at fault, not the input.
     monkeypatch.setattr(
         pframes.duality, "solve_lp", with_row_residual(pframes.duality.solve_lp, 1.5e-8)

@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_force_assignment,
     counting,
+    det_sign_changes,
     gaussian_path_by_loop,
     profile_by_measures,
     random_frame_measure,
@@ -129,6 +132,54 @@ def test_profile_antipodal_pair_degenerates_at_midpoint():
     assert not profile.all_frames
     mid = np.argmin(np.abs(profile.ts - 0.5))
     assert profile.lower_bounds[mid] <= pd_threshold(profile.upper_bounds[mid])
+
+
+@pytest.mark.parametrize("grid_size", [2, 100, 1000])
+def test_antipodal_pair_is_singular_off_the_grid(grid_size):
+    # No grid point of these sizes is t = 0.5, where the interpolant has
+    # rank one; the grid alone reports every point a frame.
+    mu = DiscreteMeasure(atoms=np.eye(2), weights=[0.5, 0.5])
+    nu = DiscreteMeasure(atoms=-np.eye(2), weights=[0.5, 0.5])
+    profile = geodesic_profile(mu, nu, grid_size=grid_size)
+    assert not np.any(profile.ts == 0.5)
+    assert not profile.all_frames
+    assert profile.singular_t == pytest.approx(0.5, abs=1e-9)
+
+
+def assert_singular_t_matches_the_scan(mu, nu):
+    """``geodesic_profile`` of two uniform measures on ``d`` atoms in R^d
+    against a dense sign scan of ``det`` along its optimal pairing."""
+    sigma = wasserstein2(mu, nu).permutation
+    roots = det_sign_changes(mu.atoms, nu.atoms[sigma])
+    profile = geodesic_profile(mu, nu)
+    assert profile.all_frames == (roots.size == 0)
+    if roots.size:
+        # A point within about 1e-5 sqrt(lambda_max / curvature) of a double
+        # root of det S(t) is singular by pd_threshold too.
+        assert abs(profile.singular_t - roots[0]) <= 1e-3
+    else:
+        assert profile.singular_t is None
+    return roots.size > 0
+
+
+def test_random_two_atom_pairs_agree_with_the_sign_scan():
+    rng = np.random.default_rng(909)
+    singular = 0
+    for _ in range(150):
+        mu = DiscreteMeasure(atoms=rng.normal(size=(2, 2)), weights=[0.5, 0.5])
+        nu = DiscreteMeasure(atoms=rng.normal(size=(2, 2)), weights=[0.5, 0.5])
+        singular += assert_singular_t_matches_the_scan(mu, nu)
+    assert 30 <= singular <= 120
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3), scale=st.sampled_from([0.1, 1.0, 10.0]))
+def test_square_frames_agree_with_the_sign_scan(seed, dim, scale):
+    rng = np.random.default_rng(seed)
+    weights = np.full(dim, 1.0 / dim)
+    mu = DiscreteMeasure(atoms=scale * rng.normal(size=(dim, dim)), weights=weights)
+    nu = DiscreteMeasure(atoms=rng.normal(size=(dim, dim)), weights=weights)
+    assert_singular_t_matches_the_scan(mu, nu)
 
 
 def test_profile_grid_two_is_endpoints_only():
@@ -316,6 +367,16 @@ def test_szulc_condition_antipodal_fails():
     rng = np.random.default_rng(11)
     phi = rng.normal(size=(4, 2))
     assert not szulc_condition(phi, -phi)
+
+
+def test_szulc_condition_on_an_ill_conditioned_frame():
+    # Phi has rank 2, but Phi^T Phi (condition about 1e20) is singular in
+    # floating point; the segment is checked on its whitened Gram matrix.
+    rng = np.random.default_rng(13)
+    phi = rng.normal(size=(5, 2))
+    phi[:, 1] = phi[:, 0] + 1e-10 * rng.normal(size=5)
+    assert szulc_condition(phi, phi)
+    assert szulc_condition(phi, 2.0 * phi)
 
 
 def test_szulc_condition_rejects_rank_deficient():

@@ -8,7 +8,7 @@ from helpers import brute_force_assignment, counting, refined_assignment
 from pframes.errors import NumericError
 from pframes.optim import (
     FEASIBILITY_TOL,
-    LinearProgram,
+    HIGHS_TIGHT_TOL,
     LpOutcome,
     best_transposition,
     hungarian,
@@ -24,7 +24,7 @@ def certificate_holds(cert, kmat, rhs):
 
 
 def test_simple_feasible_system():
-    out = solve_lp(LinearProgram(np.array([[1.0, 1.0]]), np.array([1.0])))
+    out = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0]))
     assert out.status == "feasible"
     assert out.dual_certificate is None
     assert abs(out.solution.sum() - 1.0) <= 1e-8
@@ -34,7 +34,7 @@ def test_simple_feasible_system():
 def test_infeasible_with_mechanical_certificate():
     kmat = np.array([[1.0]])
     rhs = np.array([-1.0])
-    out = solve_lp(LinearProgram(kmat, rhs))
+    out = solve_lp(kmat, rhs)
     assert out.status == "infeasible"
     assert out.solution is None
     assert certificate_holds(out.dual_certificate, kmat, rhs)
@@ -46,7 +46,7 @@ def test_transportation_polytope_feasible():
         [np.kron(np.eye(2), np.ones((1, 2))), np.kron(np.ones((1, 2)), np.eye(2))]
     )
     rhs = np.array([0.5, 0.5, 0.5, 0.5])
-    out = solve_lp(LinearProgram(constraints, rhs))
+    out = solve_lp(constraints, rhs)
     assert out.status == "feasible"
     plan = out.solution.reshape(2, 2)
     assert np.abs(plan.sum(axis=1) - 0.5).max() <= 1e-8
@@ -55,9 +55,7 @@ def test_transportation_polytope_feasible():
 
 def test_phase2_known_optimum():
     # min x1 + 2 x2 subject to x1 + x2 = 1, x >= 0: optimum 1 at (1, 0).
-    out = solve_lp(
-        LinearProgram(np.array([[1.0, 1.0]]), np.array([1.0]), objective=np.array([1.0, 2.0]))
-    )
+    out = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0]))
     assert out.status == "feasible"
     assert np.allclose(out.solution, [1.0, 0.0], atol=1e-9)
 
@@ -66,14 +64,14 @@ def test_phase2_degenerate_redundant_rows():
     # Duplicated constraint row: phase 1 must drop the redundancy.
     constraints = np.array([[1.0, 1.0], [1.0, 1.0]])
     rhs = np.array([1.0, 1.0])
-    out = solve_lp(LinearProgram(constraints, rhs, objective=np.array([-1.0, 0.0])))
+    out = solve_lp(constraints, rhs, np.array([-1.0, 0.0]))
     assert out.status == "feasible"
     assert np.allclose(out.solution, [1.0, 0.0], atol=1e-9)
 
 
 def test_unbounded_objective_raises():
     with pytest.raises(NumericError):
-        solve_lp(LinearProgram(np.array([[0.0]]), np.array([0.0]), objective=np.array([-1.0])))
+        solve_lp(np.array([[0.0]]), np.array([0.0]), np.array([-1.0]))
 
 
 def test_zero_weight_row_forces_zero():
@@ -82,7 +80,7 @@ def test_zero_weight_row_forces_zero():
         [np.kron(np.eye(2), np.ones((1, 2))), np.kron(np.ones((1, 2)), np.eye(2))]
     )
     rhs = np.array([1.0, 0.0, 0.5, 0.5])
-    out = solve_lp(LinearProgram(constraints, rhs))
+    out = solve_lp(constraints, rhs)
     assert out.status == "feasible"
     plan = out.solution.reshape(2, 2)
     assert np.abs(plan[1]).max() <= 1e-10
@@ -99,7 +97,7 @@ def test_exactly_one_alternative_on_random_systems():
             rhs = kmat @ np.abs(rng.normal(size=n))  # feasible by construction
         else:
             rhs = rng.normal(size=m)
-        out = solve_lp(LinearProgram(kmat, rhs))
+        out = solve_lp(kmat, rhs)
         assert (out.solution is None) != (out.dual_certificate is None)
         if out.status == "feasible":
             feasible_seen += 1
@@ -116,7 +114,7 @@ def test_infeasible_system_with_an_objective_raises():
     # Only W2 optimizes, over a transportation polytope that is never empty,
     # so an infeasible system with an objective is a numeric failure.
     with pytest.raises(NumericError, match="LP solver failed"):
-        solve_lp(LinearProgram(np.array([[1.0, 1.0]]), np.array([-1.0]), objective=np.array([1.0, 2.0])))
+        solve_lp(np.array([[1.0, 1.0]]), np.array([-1.0]), np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("rhs", [[1.0], [-1.0]], ids=["feasible", "infeasible"])
@@ -125,7 +123,7 @@ def test_feasibility_question_is_one_elastic_solve(monkeypatch, rhs):
 
     wrappers = counting(monkeypatch, scipy.optimize, "linprog", "milp")
     calls = counting(monkeypatch, pframes.optim, "_highs")
-    out = solve_lp(LinearProgram(np.array([[1.0, 2.0]]), np.array(rhs)))
+    out = solve_lp(np.array([[1.0, 2.0]]), np.array(rhs))
     assert out.status == ("feasible" if rhs[0] > 0 else "infeasible")
     assert calls == ["_highs"]
     assert wrappers == []
@@ -173,7 +171,7 @@ def test_elastic_systems_agree_with_linprog():
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 10))
         kmat = rng.normal(size=(m, n))
         rhs = kmat @ np.abs(rng.normal(size=n)) if trial % 2 == 0 else rng.normal(size=m)
-        out = solve_lp(LinearProgram(kmat, rhs))
+        out = solve_lp(kmat, rhs)
         reference = oracle(np.zeros(n), kmat, rhs)
         assert reference.status in (0, 2)
         assert out.status == ("feasible" if reference.status == 0 else "infeasible")
@@ -196,7 +194,7 @@ def test_w2_lps_agree_with_linprog(alpha):
         cost = squared_distance_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2))).ravel()
         rows = pframes.optim.marginal_rows(n, m)
         rhs = np.concatenate(weights)
-        out = solve_lp(LinearProgram(rows, rhs, objective=cost))
+        out = solve_lp(rows, rhs, cost)
         reference = oracle(cost, rows.toarray(), rhs, tight=True)
         assert out.status == "feasible" and reference.status == 0
         assert_same_optimum(float(cost @ out.solution), reference.fun)
@@ -206,42 +204,35 @@ TINY_WEIGHT_SEEDS = [0, 13, 14, 17]
 
 
 def tiny_weight_lp(seed):
-    """The W2 LP of ``test_tiny_marginal_weights_are_met``: Dirichlet(1/5)
-    weights on 20 atoms in 2-d, some near 1e-10."""
+    """The W2 LP ``(K, t, cost)`` of ``test_tiny_marginal_weights_are_met``:
+    Dirichlet(1/5) weights on 20 atoms in 2-d, some near 1e-10."""
     rng = np.random.default_rng(seed)
     mu_atoms, mu_weights = rng.normal(size=(20, 2)), rng.dirichlet(np.full(20, 0.2))
     nu_atoms, nu_weights = rng.normal(size=(20, 2)), rng.dirichlet(np.full(20, 0.2))
     cost = squared_distance_matrix(mu_atoms, nu_atoms).ravel()
-    return LinearProgram(
-        pframes.optim.marginal_rows(20, 20), np.concatenate([mu_weights, nu_weights]), cost
-    )
+    return pframes.optim.marginal_rows(20, 20), np.concatenate([mu_weights, nu_weights]), cost
 
 
 @pytest.mark.parametrize("seed", TINY_WEIGHT_SEEDS)
 def test_tiny_weight_lps_agree_with_linprog(seed):
-    lp = tiny_weight_lp(seed)
-    out = solve_lp(lp)
-    reference = oracle(lp.objective, lp.constraint_matrix.toarray(), lp.rhs, tight=True)
+    kmat, rhs, cost = tiny_weight_lp(seed)
+    out = solve_lp(kmat, rhs, cost)
+    reference = oracle(cost, kmat.toarray(), rhs, tight=True)
     assert out.status == "feasible" and reference.status == 0
-    assert_same_optimum(float(lp.objective @ out.solution), reference.fun)
+    assert_same_optimum(float(cost @ out.solution), reference.fun)
 
 
-def test_tiny_weights_take_the_tight_re_solve(monkeypatch):
-    # HiGHS at its default tolerance leaves a tiny marginal weight unmet;
-    # solve_lp solves once more, at HIGHS_TIGHT_TOL.
-    solve = pframes.optim._highs
-    calls = []
-
-    def recorded(*args, tight=False):
-        calls[-1].append(tight)
-        return solve(*args, tight=tight)
-
-    monkeypatch.setattr(pframes.optim, "_highs", recorded)
+def test_tiny_weight_lps_are_one_tight_solve(monkeypatch):
+    # HiGHS at its default tolerance left a tiny marginal weight of these
+    # LPs unmet; at HIGHS_TIGHT_TOL one solve meets every row.
+    calls = counting(monkeypatch, pframes.optim, "_highs")
     for seed in TINY_WEIGHT_SEEDS:
-        calls.append([])
-        assert solve_lp(tiny_weight_lp(seed)).status == "feasible"
-    assert all(tights in ([False], [False, True]) for tights in calls)
-    assert [False, True] in calls
+        calls.clear()
+        kmat, rhs, cost = tiny_weight_lp(seed)
+        out = solve_lp(kmat, rhs, cost)
+        assert calls == ["_highs"]
+        assert out.status == "feasible"
+        assert float(np.abs(kmat @ out.solution - rhs).max()) <= HIGHS_TIGHT_TOL
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -265,7 +256,7 @@ def test_transport_dual_systems_agree_with_linprog(seed):
     m = nu.count
     kmat = pframes.optim.marginal_rows(n, m, head=np.kron(mu.atoms.T, nu.atoms.T))
     rhs = np.concatenate([np.eye(d).ravel(), mu.weights, nu.weights])
-    out = solve_lp(LinearProgram(kmat, rhs))
+    out = solve_lp(kmat, rhs)
     reference = oracle(np.zeros(n * m), kmat.toarray(), rhs)
     assert out.status == ("feasible" if reference.status == 0 else "infeasible")
     assert out.status == ("feasible" if seed % 2 else "infeasible")
@@ -277,21 +268,21 @@ def test_transport_dual_systems_agree_with_linprog(seed):
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
-        solve_lp(LinearProgram(np.ones((2, 2)), np.ones(3)))
+        solve_lp(np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValueError):
-        solve_lp(LinearProgram(np.ones((2, 2)), np.ones(2), objective=np.ones(3)))
+        solve_lp(np.ones((2, 2)), np.ones(2), np.ones(3))
 
 
 def test_sparse_constraint_matrix_is_checked_and_solved_alike():
     from scipy.sparse import csc_array, csr_array
 
     with pytest.raises(ValueError, match="nonempty and finite"):
-        solve_lp(LinearProgram(csc_array(np.array([[1.0, np.inf]])), np.ones(1)))
+        solve_lp(csc_array(np.array([[1.0, np.inf]])), np.ones(1))
     with pytest.raises(ValueError, match="nonempty and finite"):
-        solve_lp(LinearProgram(csr_array((0, 2)), np.ones(0)))
+        solve_lp(csr_array((0, 2)), np.ones(0))
     kmat, rhs = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.5])
-    dense = solve_lp(LinearProgram(kmat, rhs, objective=np.array([1.0, 2.0])))
-    sparse = solve_lp(LinearProgram(csr_array(kmat), rhs, objective=np.array([1.0, 2.0])))
+    dense = solve_lp(kmat, rhs, np.array([1.0, 2.0]))
+    sparse = solve_lp(csr_array(kmat), rhs, np.array([1.0, 2.0]))
     assert np.array_equal(dense.solution, sparse.solution)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -14,7 +16,7 @@ import pframes.transport
 from pframes.duality import canonical_dual, psi_h_dual
 from pframes.errors import NumericError
 from pframes.measures import DiscreteMeasure
-from pframes.optim import ASSIGNMENT_RTOL, OPTIMALITY_RTOL, LpOutcome, hungarian
+from pframes.optim import ASSIGNMENT_RTOL, OPTIMALITY_RTOL, hungarian
 from pframes.transport import (
     is_cyclically_monotone,
     optimal_permutation,
@@ -157,6 +159,30 @@ def test_potentials_certify_the_returned_plan():
         assert abs(mu.weights @ u + nu.weights @ v - solution.distance_squared) <= 1e-10
 
 
+def test_lp_duals_certify_with_a_thousandfold_margin():
+    # The LP plan's own row duals are its potentials: across sizes, weight
+    # skews down to 1e-12 and cost scales up to 1e4, their slack and gap stay
+    # a thousand times inside the certificate's tolerance.
+    rng = np.random.default_rng(1414)
+    for trial in range(300):
+        n, m, dim = int(rng.integers(2, 31)), int(rng.integers(2, 31)), trial % 3 + 1
+        concentration, scale = [0.2, 0.7, 5.0][trial // 3 % 3], [1.0, 10.0, 100.0][trial // 9 % 3]
+        measures = []
+        for count in (n, m):
+            weights = np.maximum(rng.dirichlet(np.full(count, concentration)), 1e-12)
+            atoms = scale * rng.normal(size=(count, dim))
+            measures.append(DiscreteMeasure(atoms=atoms, weights=weights / weights.sum()))
+        mu, nu = measures
+        solution = wasserstein2(mu, nu)
+        assert solution.permutation is None
+        u, v = solution.potentials
+        cost = squared_distance_matrix(mu.atoms, nu.atoms)
+        value = float((solution.plan.coupling * cost).sum())
+        tol = 1e-3 * OPTIMALITY_RTOL * (1.0 + abs(value))
+        assert float((cost - u[:, None] - v[None, :]).min()) >= -tol
+        assert abs(value - float(mu.weights @ u + nu.weights @ v)) <= tol
+
+
 def test_uniform_w2_solves_no_lp(monkeypatch):
     calls = []
     solve = pframes.transport.solve_lp
@@ -193,17 +219,32 @@ def test_swapped_assignment_is_a_numeric_error(monkeypatch):
 
 
 def test_product_coupling_from_the_lp_is_a_numeric_error(monkeypatch):
-    # The independent coupling meets both marginals, so only the optimality
-    # certificate can reject it.
+    # The independent coupling meets both marginals and comes with the real
+    # LP's duals, so only the optimality certificate can reject it.
     rng = np.random.default_rng(11)
     mu, nu = random_measure(rng, 2, 4), random_measure(rng, 2, 5)
+    solve = pframes.transport.solve_lp
 
-    def product(lp):
-        return LpOutcome(status="feasible", solution=np.outer(mu.weights, nu.weights).ravel())
+    def product(*args):
+        coupling = np.outer(mu.weights, nu.weights).ravel()
+        return dataclasses.replace(solve(*args), solution=coupling)
 
     monkeypatch.setattr(pframes.transport, "solve_lp", product)
     with pytest.raises(NumericError, match="minimum slack .*gap"):
         wasserstein2(mu, nu)
+
+
+def test_lp_plan_is_certified_by_its_own_row_duals(monkeypatch):
+    rng = np.random.default_rng(13)
+    mu, nu = random_measure(rng, 2, 6), random_measure(rng, 2, 9)
+    calls = counting(monkeypatch, pframes.transport, "kantorovich_potentials")
+    solve, outcomes = pframes.transport.solve_lp, []
+    monkeypatch.setattr(
+        pframes.transport, "solve_lp", lambda *args: outcomes.append(solve(*args)) or outcomes[-1]
+    )
+    u, v = wasserstein2(mu, nu).potentials
+    assert calls == []
+    assert np.array_equal(np.concatenate([u, v]), outcomes[0].row_duals)
 
 
 def equal_weight_pairs():
@@ -357,7 +398,7 @@ def test_optimal_permutation_matches_brute_force(n):
 
 
 def test_lp_coupling_failing_plan_checks_is_a_numeric_error(monkeypatch):
-    # A 1.5e-8 row residual passes solve_lp (1e-8 * (1 + 0.6)) but not
+    # A 1.5e-8 row residual, injected past solve_lp's own check, fails
     # PLAN_TOL: the solver's point is at fault, not the input.
     monkeypatch.setattr(
         pframes.transport, "solve_lp", with_row_residual(pframes.transport.solve_lp, 1.5e-8)
