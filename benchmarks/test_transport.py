@@ -75,6 +75,6 @@ def test_is_cyclically_monotone(benchmark, paired):
     rng = np.random.default_rng(150)
     xs, ys = rng.normal(size=(150, 3)), rng.normal(size=(150, 3))
     if paired:
-        ys = ys[hungarian(-(xs @ ys.T))]
+        ys = ys[hungarian(-(xs @ ys.T))[0]]
     monotone, _ = benchmark(is_cyclically_monotone, list(zip(xs, ys)))
     assert monotone == paired

@@ -112,15 +112,10 @@ class FarkasCertificate:
     v: Array
 
 
-def certificate_is_valid(
-    cert: FarkasCertificate,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    tol: float = CERTIFICATE_TOL,
-) -> bool:
+def certificate_is_valid(cert: FarkasCertificate, mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     pairings = mu.atoms @ cert.B @ nu.atoms.T + cert.u[:, None] + cert.v[None, :]
     combined = float(np.trace(cert.B) + cert.u @ mu.weights + cert.v @ nu.weights)
-    return bool(pairings.min() >= -tol and combined <= -tol)
+    return bool(pairings.min() >= -CERTIFICATE_TOL and combined <= -CERTIFICATE_TOL)
 
 
 def cross_moment_matrix(plan: TransportPlan) -> Array:

@@ -29,7 +29,7 @@ from .measures import (
     merge_duplicate_atoms,
     pd_threshold,
 )
-from .optim import MASS_EPS, certify_potentials, identity_potentials
+from .optim import MASS_EPS, certify_potentials
 from .transport import optimal_permutation, squared_distance_matrix, wasserstein2
 
 Array = np.ndarray
@@ -248,11 +248,10 @@ def coherence_identity_test(phi: Array, psi: Array) -> bool:
     (``Psi^T Phi = I``).  With ``z_i = psi_i - S^{-1} phi_i`` and ``a`` the
     minimal separation ``min_{i != j} <phi_i, S^{-1}(phi_i - phi_j)>``, the
     condition is ``max_j ||z_j|| <= a / N``.  When it holds, the identity is
-    an optimal pairing for squared cost, which is cross-checked:
-    ``optim.identity_potentials`` settles it as ``wasserstein2`` does for
-    uniform weights, and the assignment solver decides only what the
-    bound leaves open.  The test is conservative: a False answer does not
-    preclude identity optimality.
+    an optimal pairing for squared cost, which is cross-checked against
+    ``optimal_permutation`` (whose ``optim.hungarian`` accepts the identity
+    by its potentials before any solve).  The test is conservative: a False
+    answer does not preclude identity optimality.
     """
     phi = linalg.as_matrix(phi, "phi")
     psi = linalg.as_matrix(psi, "psi")
@@ -270,10 +269,8 @@ def coherence_identity_test(phi: Array, psi: Array) -> bool:
     separations = gram.diagonal()[:, None] - gram
     a = float(separations[~np.eye(n, dtype=bool)].min())
     holds = bool(float(np.linalg.norm(z, axis=1).max()) <= a / n)
-    if holds:
-        settled = identity_potentials(squared_distance_matrix(phi, psi), np.full(n, 1.0 / n))
-        if settled is None and not np.array_equal(optimal_permutation(phi, psi), np.arange(n)):
-            raise NumericError("coherence condition held but identity was not optimal")
+    if holds and not np.array_equal(optimal_permutation(phi, psi), np.arange(n)):
+        raise NumericError("coherence condition held but identity was not optimal")
     return holds
 
 

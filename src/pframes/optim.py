@@ -32,15 +32,16 @@ dual feasibility and a zero primal-dual gap, both to ``OPTIMALITY_RTOL``.
 solve, how far the identity of a square cost is from optimal: the most
 improving transposition from one ``O(n^2)`` test, and the identity's
 Kantorovich potentials with the weak-duality bound they give.
-``identity_potentials`` holds the rule by which W2 accepts the identity
-coupling of two equal-weight measures from them.
+``identity_potentials`` holds the rule by which the identity coupling of two
+equal-weight measures is accepted from them.
 
-``hungarian`` makes one ``linear_sum_assignment`` solve (Crouse, IEEE TAES
-2016), takes potentials for its permutation from the same routine, and
-returns the lexicographically smallest permutation on edges whose reduced
-cost is at most ``tol / n`` (``tol = ASSIGNMENT_RTOL (1 + |best|)``); it fixes
-rows in order, rerouting the rows below along one alternating path of such
-edges.
+``hungarian`` returns an optimal permutation with the potentials that
+certify it.  It accepts the identity by ``identity_potentials`` first;
+otherwise it makes one ``linear_sum_assignment`` solve (Crouse, IEEE TAES
+2016), takes potentials for its permutation from Bellman-Ford, and returns
+the lexicographically smallest permutation on edges whose reduced cost is at
+most ``tol / n`` (``tol = ASSIGNMENT_RTOL (1 + |best|)``); it fixes rows in
+order, rerouting the rows below along one alternating path of such edges.
 
 scipy's solvers and ``scipy.sparse`` are imported on first use, inside the
 functions that call them, so importing the package (and every CLI command
@@ -305,12 +306,12 @@ def identity_potentials(cost: Array, weights: Array) -> tuple[Array, Array] | No
     ASSIGNMENT_RTOL (1 + |value|) / n`` (``value = weights . diag c``); a
     transposition gaining more than ``tol`` rejects it first, without
     potentials (neighbours ``(i, i + 1)`` tested before the rest).  For
-    uniform weights ``tol`` is within ``hungarian``'s tight-edge threshold
-    ``ASSIGNMENT_RTOL (1 + |best|) / n`` (on squared distances ``value =
-    trace / n`` is below ``best`` unless both are at round-off), so every
-    diagonal edge is tight under the potentials, and the identity, the
-    smallest permutation of all, is what ``hungarian`` returns.  An accepted
-    plan is still certified by the caller.
+    uniform weights ``tol`` is within the tight-edge threshold ``ASSIGNMENT_RTOL
+    (1 + |best|) / n`` of ``hungarian``'s solver route (``|value| = |trace| /
+    n`` is at most ``|best| + tol``), so every diagonal edge would be tight
+    there, and the identity, the smallest permutation of all, is what that
+    route returns: ``hungarian`` tries this rule first.  An accepted plan is
+    still certified by the caller.
     """
     n = cost.shape[0]
     diag = cost.diagonal()
@@ -351,26 +352,35 @@ def linear_sum_assignment(cost: Array) -> tuple[Array, Array]:
     return solve(cost)
 
 
-def hungarian(cost) -> Array:
-    """Minimum-cost assignment for a square cost matrix.
+def hungarian(cost) -> tuple[Array, tuple[Array, Array]]:
+    """Minimum-cost assignment for a square cost matrix, with its certificate.
 
-    Returns the permutation ``sigma`` (as an index array, ``i -> sigma[i]``)
-    minimizing ``sum_i cost[i, sigma[i]]``; ties resolve deterministically.
+    Returns ``(sigma, (u, v))``: the permutation ``sigma`` (as an index
+    array, ``i -> sigma[i]``) minimizing ``sum_i cost[i, sigma[i]]``, ties
+    resolved deterministically, and Kantorovich potentials under which every
+    reduced cost ``c_ij - u_i - v_j`` is at least ``-tol / n`` and at most
+    ``tol / n`` on ``sigma``, so they pass ``certify_potentials`` for
+    ``sigma`` with uniform marginals.
 
-    One ``linear_sum_assignment`` solve gives an optimal permutation; its
-    Kantorovich potentials ``(u, v)`` mark an edge tight when ``c_ij - u_i -
-    v_j <= tol / n``, ``tol = ASSIGNMENT_RTOL (1 + |best|)``.  Every optimal
-    permutation is on tight edges (up to round-off), and the lexicographically
-    smallest one on tight edges, returned here, costs at most ``best + tol``
-    (re-checked).  Row ``i`` moves from its column ``t`` to the smallest
-    tight ``j < t`` whose row below ``i`` reaches ``t`` by an alternating
-    path through the rows below (Berge: exactly then they still match),
-    found by breadth-first search backwards from ``t``.
+    The identity, when ``identity_potentials`` accepts it with uniform
+    weights, is returned with its own potentials and no solve.  Otherwise one
+    ``linear_sum_assignment`` solve gives an optimal permutation; its
+    Kantorovich potentials ``(u, v)``, returned, mark an edge tight when ``c_ij
+    - u_i - v_j <= tol / n``, ``tol = ASSIGNMENT_RTOL (1 + |best|)``.  Every
+    optimal permutation is on tight edges (up to round-off), and the
+    lexicographically smallest one on tight edges, returned here, costs at
+    most ``best + tol`` (re-checked).  Row ``i`` moves from its column ``t``
+    to the smallest tight ``j < t`` whose row below ``i`` reaches ``t`` by an
+    alternating path through the rows below (Berge: exactly then they still
+    match), found by breadth-first search backwards from ``t``.
     """
     c = as_matrix(cost, "cost")
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
     n = c.shape[0]
+    potentials = identity_potentials(c, np.full(n, 1.0 / n))
+    if potentials is not None:
+        return np.arange(n), potentials
     rows, perm = linear_sum_assignment(c)
     best = float(c[rows, perm].sum())
     tol = ASSIGNMENT_RTOL * (1.0 + abs(best))
@@ -401,4 +411,4 @@ def hungarian(cost) -> Array:
             perm[r], owner[via[r]], r = via[r], r, owner[via[r]]
     if float(c[rows, perm].sum()) > best + tol:
         raise NumericError("lexicographic assignment left the optimal cost")
-    return perm
+    return perm, (u, v)

@@ -11,12 +11,12 @@ x``, the gradient of the convex ``x^T S^{-1} x / 2``, so the pairing is
 cyclically monotone (Rockafellar 1966) and the diagonal coupling optimal.
 ``optim.identity_potentials`` accepts it when no transposition improves it
 and its Kantorovich potentials bound its distance from the optimal
-assignment to round-off; ``is_cyclically_monotone`` decides from the same
-two kernels, ``optim.best_transposition`` and ``optim.identity_bound``.  Every
-plan is certified, not re-solved: its Kantorovich potentials must be dual
-feasible and close the primal-dual gap.  A permutation's potentials come
-from Bellman-Ford on its difference constraints
-(``optim.kantorovich_potentials``), an LP plan's are the LP's own row duals.
+assignment to round-off; ``optim.hungarian`` applies that rule before its
+solve, so uniform pairs and ``is_cyclically_monotone`` (after its own
+transposition witness) get it from there.  Every plan is certified, not
+re-solved: its Kantorovich potentials must be dual feasible and close the
+primal-dual gap.  A permutation's potentials are the ones ``hungarian``
+returns with it, an LP plan's are the LP's own row duals.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from .optim import (
     best_transposition,
     certify_potentials,
     hungarian,
-    identity_bound,
     identity_potentials,
-    kantorovich_potentials,
     marginal_rows,
     solve_lp,
 )
@@ -47,7 +45,10 @@ Array = np.ndarray
 class OtSolution:
     """Optimal squared distance, the realizing plan, (for uniform
     equal-cardinality inputs) the optimal permutation, and the Kantorovich
-    potentials ``(u, v)`` that certify the plan."""
+    potentials ``(u, v)`` that certify the plan: the identity's, those of
+    the permutation ``linear_sum_assignment`` found (within ``tol / n`` of
+    tight on the returned one, see ``optim.hungarian``), or the LP's row
+    duals."""
 
     distance_squared: float
     plan: TransportPlan
@@ -63,26 +64,27 @@ def squared_distance_matrix(xs: Array, ys: Array) -> Array:
 def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
     """Optimal transport between two discrete measures for squared cost.
 
-    Inputs of equal cardinality whose weights are ``weights_equal`` atom by
-    atom first try the identity pairing (``optim.identity_potentials``); when it
-    is accepted, the plan is the diagonal coupling and no solver runs.
-    Otherwise uniform inputs of equal cardinality (``weights_equal`` to ``1
-    / n``) take the assignment route, all others the LP.  Every plan is
-    certified on the one cost matrix: its Kantorovich potentials (the
-    identity's, the permutation's from ``kantorovich_potentials``, or the
-    LP's row duals) must pass ``certify_potentials``, or ``NumericError``
-    names the minimum slack and the primal-dual gap; the potentials come
-    back with the plan.
+    Uniform inputs of equal cardinality (``weights_equal`` to ``1 / n``)
+    take the assignment route, ``optim.hungarian``, which accepts the
+    identity pairing before any solve.  Other inputs of equal cardinality
+    whose weights are ``weights_equal`` atom by atom try the identity pairing
+    (``optim.identity_potentials``); when it is accepted, the plan is the
+    diagonal coupling and no solver runs.  All others solve the LP.  Every
+    plan is certified on the one cost matrix: its Kantorovich potentials (the
+    assignment's from ``hungarian``, the identity's, or the LP's row duals)
+    must pass ``certify_potentials``, or ``NumericError`` names the minimum
+    slack and the primal-dual gap; the potentials come back with the plan.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     cost = squared_distance_matrix(mu.atoms, nu.atoms)
     n, m = mu.count, nu.count
     sigma = potentials = None
-    if n == m and weights_equal(mu.weights, nu.weights):
+    uniform = n == m and weights_equal(mu.weights, 1.0 / n) and weights_equal(nu.weights, 1.0 / n)
+    if not uniform and n == m and weights_equal(mu.weights, nu.weights):
         potentials = identity_potentials(cost, mu.weights)
-    if n == m and weights_equal(mu.weights, 1.0 / n) and weights_equal(nu.weights, 1.0 / n):
-        sigma = np.arange(n) if potentials is not None else hungarian(cost)
+    if uniform:
+        sigma, potentials = hungarian(cost)
         value = float(cost[np.arange(n), sigma].sum() / n)
         coupling = np.zeros((n, n))
         coupling[np.arange(n), sigma] = 1.0 / n
@@ -97,8 +99,6 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OtSolution:
         value = float((coupling * cost).sum())
         plan = TransportPlan.from_solver(mu, nu, coupling)
         potentials = outcome.row_duals[:n], outcome.row_duals[n:]
-    if potentials is None:
-        potentials = kantorovich_potentials(cost, sigma)
     u, v = potentials
     certify_potentials(cost, plan.coupling, mu.weights, nu.weights, u, v, "transport plan")
     return OtSolution(
@@ -117,7 +117,7 @@ def optimal_permutation(phi: Array, psi: Array) -> Array:
     psi = np.asarray(psi, dtype=float)
     if phi.shape != psi.shape or phi.ndim != 2:
         raise ValueError(f"inputs must share shape (N, d), got {phi.shape} and {psi.shape}")
-    return hungarian(squared_distance_matrix(phi, psi))
+    return hungarian(squared_distance_matrix(phi, psi))[0]
 
 
 def is_cyclically_monotone(pairs) -> tuple[bool, Array | None]:
@@ -129,13 +129,11 @@ def is_cyclically_monotone(pairs) -> tuple[bool, Array | None]:
     the whole set.  When the answer is no, a permutation beating the identity
     is returned as witness.
 
-    On the negated gains, ``best_transposition`` and ``identity_bound``
-    decide most sets without the assignment solver, against ``tol =
-    ASSIGNMENT_RTOL (1 + |identity| + |best|)``: a transposition beating the
-    identity by more than ``tol`` is the witness, and a bound on ``best -
-    identity`` within ``tol`` proves the identity optimal.  Only the rest (a
-    transposition within ``tol``, or a longer improving cycle) are decided
-    by ``hungarian``.  Non-finite gains raise ``ValueError``.
+    On the negated gains, ``best_transposition`` finds the transposition
+    that beats the identity most; by more than ``tol = ASSIGNMENT_RTOL (1 +
+    |identity| + |best|)``, it is the witness.  Otherwise ``hungarian``
+    decides, and accepts an optimal identity by its potentials without a
+    solve.  Non-finite gains raise ``ValueError``.
     """
     pairs = list(pairs)
     if not pairs:
@@ -148,10 +146,8 @@ def is_cyclically_monotone(pairs) -> tuple[bool, Array | None]:
     gains = as_matrix(xs @ ys.T, "cost")
     identity_value = float(np.trace(gains))
 
-    def total(sigma: Array) -> float:
-        return float(gains[np.arange(n), sigma].sum())
-
-    def beats_identity(value: float) -> bool:
+    def beats_identity(sigma: Array) -> bool:
+        value = float(gains[np.arange(n), sigma].sum())
         return value > identity_value + ASSIGNMENT_RTOL * (
             1.0 + abs(identity_value) + abs(value)
         )
@@ -159,12 +155,9 @@ def is_cyclically_monotone(pairs) -> tuple[bool, Array | None]:
     i, j, _ = best_transposition(-gains)
     sigma = np.arange(n)
     sigma[[i, j]] = j, i
-    if beats_identity(total(sigma)):
+    if beats_identity(sigma):
         return False, sigma
-    _, bound = identity_bound(-gains)
-    if not beats_identity(identity_value + bound):
-        return True, None
-    sigma = hungarian(-gains)
-    if beats_identity(total(sigma)):
+    sigma = hungarian(-gains)[0]
+    if beats_identity(sigma):
         return False, sigma
     return True, None

@@ -78,7 +78,7 @@ def test_02_zero_centroid_obstruction():
             candidate = DiscreteMeasure(atoms=rng.normal(size=(2, 2)), weights=[0.5, 0.5])
             result = find_transport_dual(mb, candidate)
             assert isinstance(result, FarkasCertificate)
-            assert certificate_is_valid(result, mb, candidate, tol=1e-8)
+            assert certificate_is_valid(result, mb, candidate)
 
     check("A02 equal-weight dual obstruction certificates", body)
 
@@ -261,7 +261,7 @@ def test_10_solver_oracles():
         for n in range(1, 8):
             for _ in range(3):
                 cost = rng.normal(size=(n, n))
-                sigma = hungarian(cost)
+                sigma = hungarian(cost)[0]
                 best_val, best_perm = brute_force_assignment(cost)
                 assert np.array_equal(sigma, best_perm)
                 value = cost[np.arange(n), sigma].sum()

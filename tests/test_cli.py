@@ -505,6 +505,10 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
         # The identity pairing is decided by its bound or by a transposition.
         ["monotone", monotone_pairs],
         ["monotone", swapped_pairs],
+        # A uniform frame and its canonical dual: hungarian accepts the
+        # identity before any assignment solve.
+        ["wasserstein", m, str(tmp_path / "dual.json")],
+        ["geodesic-profile", m, str(tmp_path / "dual.json"), "--grid", "5"],
         ["canonical-dual", skewed, "--out", skewed_dual],
         ["wasserstein", skewed, skewed_dual],
         ["geodesic-profile", skewed, skewed_dual, "--grid", "5"],

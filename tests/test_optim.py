@@ -11,6 +11,7 @@ from pframes.optim import (
     HIGHS_TIGHT_TOL,
     LpOutcome,
     best_transposition,
+    certify_potentials,
     hungarian,
     identity_bound,
     identity_potentials,
@@ -306,7 +307,7 @@ def test_identity_bound_bounds_the_identity_excess(seed):
     rng = np.random.default_rng(seed)
     n = 6
     xs, ys = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
-    paired = -(xs @ ys[hungarian(-(xs @ ys.T))].T)
+    paired = -(xs @ ys[hungarian(-(xs @ ys.T))[0]].T)
     for cost in (-(xs @ ys.T), paired):
         best, _ = brute_force_assignment(cost)
         excess = float(np.trace(cost)) - best
@@ -336,28 +337,28 @@ def test_identity_potentials_accept_only_an_optimal_identity():
 
 def test_hungarian_identity_favoring():
     cost = np.ones((3, 3)) - np.eye(3)
-    assert np.array_equal(hungarian(cost), [0, 1, 2])
+    assert np.array_equal(hungarian(cost)[0], [0, 1, 2])
 
 
 def test_hungarian_swapped_basis():
     phi = np.eye(2)
     psi = phi[::-1]
     cost = ((phi[:, None, :] - psi[None, :, :]) ** 2).sum(axis=2)
-    assert np.array_equal(hungarian(cost), [1, 0])
+    assert np.array_equal(hungarian(cost)[0], [1, 0])
 
 
 def test_hungarian_three_by_three_reversal():
     cost = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]])
-    sigma = hungarian(cost)
+    sigma = hungarian(cost)[0]
     assert np.array_equal(sigma, [2, 1, 0])
     assert cost[np.arange(3), sigma].sum() == 10.0
 
 
 def test_hungarian_lexicographic_tie_break():
-    assert np.array_equal(hungarian(np.zeros((4, 4))), [0, 1, 2, 3])
+    assert np.array_equal(hungarian(np.zeros((4, 4)))[0], [0, 1, 2, 3])
     # Two optimal assignments; the lexicographically smaller one must win.
     cost = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert np.array_equal(hungarian(cost), [0, 1])
+    assert np.array_equal(hungarian(cost)[0], [0, 1])
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -365,7 +366,7 @@ def test_hungarian_matches_brute_force(n):
     rng = np.random.default_rng(n)
     for _ in range(4):
         cost = rng.normal(size=(n, n))
-        sigma = hungarian(cost)
+        sigma = hungarian(cost)[0]
         value = float(cost[np.arange(n), sigma].sum())
         best_val, best_perm = brute_force_assignment(cost)
         assert abs(value - best_val) <= 1e-9 * (1.0 + abs(best_val))
@@ -387,7 +388,7 @@ def test_hungarian_matches_refinement_on_small_integer_costs(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
         cost = rng.integers(0, 3, size=(n, n)).astype(float)
-        assert np.array_equal(hungarian(cost), refined_assignment(cost))
+        assert np.array_equal(hungarian(cost)[0], refined_assignment(cost))
 
 
 @pytest.mark.parametrize("n", [50, 100, 150])
@@ -395,10 +396,10 @@ def test_hungarian_matches_refinement_on_grid_costs(n):
     rng = np.random.default_rng(200 + n)
     xs, ys = grid_points(rng, n), grid_points(rng, n)
     distances = squared_distance_matrix(xs, ys)
-    assert np.array_equal(hungarian(distances), refined_assignment(distances))
+    assert np.array_equal(hungarian(distances)[0], refined_assignment(distances))
     # is_cyclically_monotone minimizes negated gains.
     gains = -(xs @ ys.T)
-    assert np.array_equal(hungarian(gains), refined_assignment(gains))
+    assert np.array_equal(hungarian(gains)[0], refined_assignment(gains))
 
 
 @pytest.mark.parametrize("n", [3, 10, 30, 60])
@@ -406,7 +407,7 @@ def test_hungarian_matches_refinement_on_random_costs(n):
     rng = np.random.default_rng(300 + n)
     for _ in range(2):
         cost = rng.normal(size=(n, n))
-        assert np.array_equal(hungarian(cost), refined_assignment(cost))
+        assert np.array_equal(hungarian(cost)[0], refined_assignment(cost))
 
 
 @st.composite
@@ -420,11 +421,12 @@ def tie_heavy_costs(draw):
 
 @given(tie_heavy_costs())
 def test_hungarian_matches_brute_force_on_tie_heavy_costs(cost):
-    assert np.array_equal(hungarian(cost), brute_force_assignment(cost)[1])
+    assert np.array_equal(hungarian(cost)[0], brute_force_assignment(cost)[1])
 
 
-@pytest.mark.parametrize("kind", ["grid", "zeros"])
-def test_hungarian_solves_one_assignment(monkeypatch, kind):
+@pytest.mark.parametrize("kind, solves", [("grid", 1), ("zeros", 0)], ids=["grid", "zeros"])
+def test_hungarian_solves_one_assignment(monkeypatch, kind, solves):
+    # At most one solve; none when the identity's potentials accept it.
     calls = []
     solve = pframes.optim.linear_sum_assignment
 
@@ -439,7 +441,7 @@ def test_hungarian_solves_one_assignment(monkeypatch, kind):
     else:
         cost = np.zeros((150, 150))
     hungarian(cost)
-    assert calls == [(150, 150)]
+    assert calls == [(150, 150)] * solves
 
 
 @st.composite
@@ -455,7 +457,7 @@ def tie_heavy_larger_costs(draw):
 @settings(max_examples=60)
 @given(tie_heavy_larger_costs())
 def test_hungarian_matches_refinement_on_tie_heavy_costs(cost):
-    assert np.array_equal(hungarian(cost), refined_assignment(cost))
+    assert np.array_equal(hungarian(cost)[0], refined_assignment(cost))
 
 
 def test_hungarian_reroutes_along_a_long_alternating_path(monkeypatch):
@@ -467,5 +469,46 @@ def test_hungarian_reroutes_along_a_long_alternating_path(monkeypatch):
     shift = np.roll(np.arange(n), -1)
     cost[np.arange(n), np.arange(n)] = 0.0
     cost[np.arange(n), shift] = 0.0
+    # The identity is optimal here, so its potentials are set aside to reach
+    # the solver route.
+    monkeypatch.setattr(pframes.optim, "identity_potentials", lambda cost, weights: None)
     monkeypatch.setattr(pframes.optim, "linear_sum_assignment", lambda c: (np.arange(n), shift.copy()))
-    assert np.array_equal(hungarian(cost), np.arange(n))
+    assert np.array_equal(hungarian(cost)[0], np.arange(n))
+
+
+def certified_costs():
+    """Square costs by name: the benchmark's grid distances and negated gains
+    at n = 50, 100 and 150, random normal costs, an optimally paired set,
+    and a 4-point set whose identity passes the transposition test but not
+    the bound."""
+    costs = {}
+    for n in (50, 100, 150):
+        rng = np.random.default_rng(n)
+        xs, ys = grid_points(rng, n), grid_points(rng, n)
+        costs[f"grid-{n}"] = squared_distance_matrix(xs, ys)
+        costs[f"gains-{n}"] = -(xs @ ys.T)
+    rng = np.random.default_rng(400)
+    for n in (1, 2, 7, 40):
+        costs[f"random-{n}"] = rng.normal(size=(n, n))
+    xs, ys = rng.normal(size=(60, 3)), rng.normal(size=(60, 3))
+    costs["paired-60"] = -(xs @ ys[hungarian(-(xs @ ys.T))[0]].T)
+    xs = np.array([[-1.18, -0.85], [-0.05, -1.88], [1.43, 1.06], [1.25, -0.51]])
+    ys = np.array([[0.24, -0.95], [1.55, -1.21], [-0.51, 1.42], [2.49, -0.09]])
+    costs["four-cycle"] = -(xs @ ys.T)
+    return costs
+
+
+@pytest.mark.parametrize("name", list(certified_costs()))
+def test_hungarian_returns_the_potentials_that_certify_its_permutation(name):
+    cost = certified_costs()[name]
+    n = cost.shape[0]
+    sigma, (u, v) = hungarian(cost)
+    coupling = np.zeros((n, n))
+    coupling[np.arange(n), sigma] = 1.0 / n
+    uniform = np.full(n, 1.0 / n)
+    certify_potentials(cost, coupling, uniform, uniform, u, v, name)
+    # The paired identity is accepted by its potentials; the four-cycle's
+    # passes the transposition test but not the bound, so the solve decides.
+    expected = {"paired-60": np.arange(60), "four-cycle": [2, 0, 3, 1]}
+    if name in expected:
+        assert np.array_equal(sigma, expected[name])

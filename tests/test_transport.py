@@ -12,6 +12,7 @@ from helpers import (
     random_frame_measure,
     with_row_residual,
 )
+import pframes.optim
 import pframes.transport
 from pframes.duality import canonical_dual, psi_h_dual
 from pframes.errors import NumericError
@@ -204,12 +205,14 @@ def test_one_cost_matrix_per_w2(monkeypatch, uniform):
 
 
 def test_swapped_assignment_is_a_numeric_error(monkeypatch):
+    # The true potentials come back with a swapped permutation: only the
+    # certificate can reject it.
     assign = pframes.transport.hungarian
 
     def swapped(cost):
-        sigma = assign(cost)
+        sigma, potentials = assign(cost)
         sigma[[0, 1]] = sigma[[1, 0]]
-        return sigma
+        return sigma, potentials
 
     monkeypatch.setattr(pframes.transport, "hungarian", swapped)
     rng = np.random.default_rng(10)
@@ -237,7 +240,7 @@ def test_product_coupling_from_the_lp_is_a_numeric_error(monkeypatch):
 def test_lp_plan_is_certified_by_its_own_row_duals(monkeypatch):
     rng = np.random.default_rng(13)
     mu, nu = random_measure(rng, 2, 6), random_measure(rng, 2, 9)
-    calls = counting(monkeypatch, pframes.transport, "kantorovich_potentials")
+    calls = counting(monkeypatch, pframes.optim, "kantorovich_potentials")
     solve, outcomes = pframes.transport.solve_lp, []
     monkeypatch.setattr(
         pframes.transport, "solve_lp", lambda *args: outcomes.append(solve(*args)) or outcomes[-1]
@@ -268,13 +271,16 @@ def equal_weight_pairs():
 def test_identity_route_matches_the_solver_route(monkeypatch, name):
     # The identity pairing, accepted by its bound, gives the solver route's
     # value (within certification) and permutation, and solves nothing.
+    # Uniform pairs reach it through hungarian, the others directly.
     mu, nu = equal_weight_pairs()[name]
-    calls = counting(monkeypatch, pframes.transport, "hungarian", "solve_lp")
+    solves = counting(monkeypatch, pframes.optim, "linear_sum_assignment")
+    lps = counting(monkeypatch, pframes.transport, "solve_lp")
     fast = wasserstein2(mu, nu)
-    assert calls == []
-    monkeypatch.setattr(pframes.transport, "identity_potentials", lambda cost, weights: None)
+    assert solves + lps == []
+    for module in (pframes.optim, pframes.transport):
+        monkeypatch.setattr(module, "identity_potentials", lambda cost, weights: None)
     slow = wasserstein2(mu, nu)
-    assert len(calls) == 1
+    assert len(solves + lps) == 1
     tol = OPTIMALITY_RTOL * (1.0 + abs(slow.distance_squared))
     assert abs(fast.distance_squared - slow.distance_squared) <= tol
     if slow.permutation is None:
@@ -414,14 +420,14 @@ def monotone_by_assignment(xs, ys):
     ``ASSIGNMENT_RTOL (1 + |identity| + |best|)`` of the best pairing?"""
     gains = xs @ ys.T
     identity = float(np.trace(gains))
-    sigma = hungarian(-gains)
+    sigma = hungarian(-gains)[0]
     best = float(gains[np.arange(len(xs)), sigma].sum())
     return best <= identity + ASSIGNMENT_RTOL * (1.0 + abs(identity) + abs(best))
 
 
 def paired(xs, ys):
     """``ys`` reordered along an optimal assignment: monotone by construction."""
-    return ys[hungarian(-(xs @ ys.T))]
+    return ys[hungarian(-(xs @ ys.T))[0]]
 
 
 def near_tie(scale):
@@ -479,7 +485,8 @@ def test_monotone_sets_are_decided_without_the_assignment_solver(monkeypatch, ki
     xs, ys = rng.normal(size=(150, 3)), rng.normal(size=(150, 3))
     if kind == "paired":
         ys = paired(xs, ys)
-    calls = counting(monkeypatch, pframes.transport, "hungarian")
+    # A paired set reaches hungarian, whose identity potentials settle it.
+    calls = counting(monkeypatch, pframes.optim, "linear_sum_assignment")
     monotone, witness = is_cyclically_monotone(list(zip(xs, ys)))
     assert calls == []
     assert monotone == (kind == "paired")
@@ -495,9 +502,9 @@ def test_longer_improving_cycle_reaches_the_assignment_solver(monkeypatch):
     gains = xs @ ys.T
     diag = gains.diagonal()
     assert (gains + gains.T <= diag[:, None] + diag[None, :]).all()
-    calls = counting(monkeypatch, pframes.transport, "hungarian")
+    calls = counting(monkeypatch, pframes.optim, "linear_sum_assignment")
     monotone, witness = is_cyclically_monotone(list(zip(xs, ys)))
-    assert calls == ["hungarian"]
+    assert calls == ["linear_sum_assignment"]
     assert not monotone
     assert np.array_equal(witness, [2, 0, 3, 1])
     assert gains[np.arange(4), witness].sum() > np.trace(gains)
