@@ -222,7 +222,11 @@ def szulc_condition(phi: Array, psi_sigma: Array) -> bool:
     (``_det_roots``), ``S(t)`` the Gram matrix of the segment whitened by
     ``R^{-1}`` (``Phi = Q R``): ``a = I``, ``b = Q^T Psi_sigma R^{-1}`` and
     ``c = R^{-T} Psi_sigma^T Psi_sigma R^{-1}``, so the Gram matrices never
-    square the condition number of ``Phi``.
+    square the condition number of ``Phi``.  The rank is judged on that
+    whitened segment ``(1-t) Q + t Psi_sigma R^{-1}``, which has the exact
+    rank of the raw one: near ``t = 0`` the raw segment is as ill
+    conditioned as ``Phi``, and round-off alone can take it across the rank
+    cut that ``Phi`` itself passed.
     """
     phi = linalg.as_matrix(phi, "phi")
     psi_sigma = linalg.as_matrix(psi_sigma, "psi_sigma")
@@ -236,7 +240,7 @@ def szulc_condition(phi: Array, psi_sigma: Array) -> bool:
         q, r = np.linalg.qr(phi)
         psi_w = np.linalg.solve(r.T, psi_sigma.T).T
         for t in _det_roots(np.eye(d), q.T @ psi_w, psi_w.T @ psi_w):
-            if linalg.numeric_rank((1.0 - t) * phi + t * psi_sigma) != d:
+            if linalg.numeric_rank((1.0 - t) * q + t * psi_w) != d:
                 raise NumericError(f"segment rank dropped at t={t} despite eigenvalue test")
     return ok
 

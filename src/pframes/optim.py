@@ -6,13 +6,14 @@ objective, optimizes over that set, using the HiGHS dual revised simplex
 (Huangfu and Hall, Math. Prog. Comp. 2018) shipped with scipy.  Every LP is
 one call into scipy's HiGHS bindings (``_highs``), at its tightest primal
 feasibility tolerance ``HIGHS_TIGHT_TOL``, with no ``linprog`` or ``milp``
-front-end, on a ``scipy.sparse`` CSC matrix written column by column:
-``marginal_rows`` builds the transportation polytope's rows from index
-arrays, below dense head rows when a caller has them.  Without an objective
-``solve_lp`` solves one LP, the elastic LP ``min 1^T (s+ + s-)  s.t.  K a +
-s+ - s- = t``: zero slack (up to ``FEASIBILITY_TOL``) gives the solution,
-positive slack gives a Farkas certificate ``y`` satisfying ``y^T K >= 0``
-and ``y^T t < 0`` (up to the stated tolerances), read off its row duals.
+front-end, on a matrix in compressed sparse column form held as plain arrays
+(``Csc``) and written column by column: ``marginal_rows`` builds the
+transportation polytope's rows from index arrays, below dense head rows when
+a caller has them.  Without an objective ``solve_lp`` solves one LP, the
+elastic LP ``min 1^T (s+ + s-)  s.t.  K a + s+ - s- = t``: zero slack (up
+to ``FEASIBILITY_TOL``) gives the solution, positive slack gives a Farkas
+certificate ``y`` satisfying ``y^T K >= 0`` and ``y^T t < 0`` (up to the
+stated tolerances), read off its row duals.
 With an objective it solves the LP itself, returns its row duals with the
 point, and any status but optimal is a ``NumericError``: W2, the one such
 caller, solves over a transportation polytope, never empty and with its cost
@@ -43,9 +44,13 @@ the lexicographically smallest permutation on edges whose reduced cost is at
 most ``tol / n`` (``tol = ASSIGNMENT_RTOL (1 + |best|)``); it fixes rows in
 order, rerouting the rows below along one alternating path of such edges.
 
-scipy's solvers and ``scipy.sparse`` are imported on first use, inside the
-functions that call them, so importing the package (and every CLI command
-that solves no LP or assignment) does not load ``scipy.optimize``.
+The only scipy code this module runs is two compiled modules,
+``scipy.optimize._highspy._core`` (HiGHS) and ``scipy.optimize._lsap``
+(``linear_sum_assignment``), loaded from their files on first use by
+``_scipy_extension``.  Neither the ``scipy.optimize`` package, whose
+``__init__`` imports ``scipy.sparse``, ``scipy.linalg`` and the rest of
+scipy's optimizers, nor ``scipy.sparse`` is imported: importing the package
+loads no scipy module, and a command that solves loads only those two.
 ``linear_sum_assignment`` is a module-level shim that ``hungarian`` calls
 through the module global, so patching this module's attribute still
 replaces or counts the solve.
@@ -53,6 +58,10 @@ replaces or counts the solve.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,18 +100,75 @@ class LpOutcome:
     row_duals: Array | None = None
 
 
-def marginal_rows(n: int, m: int, head: Array | None = None):
+@dataclass(frozen=True)
+class Csc:
+    """A sparse matrix in compressed sparse column form, the layout HiGHS
+    reads: column ``j`` holds the entries ``data[k]`` in rows ``indices[k]``
+    for ``k`` in ``range(indptr[j], indptr[j + 1])``."""
+
+    shape: tuple[int, int]
+    indptr: Array
+    indices: Array
+    data: Array
+
+    def matvec(self, a: Array) -> Array:
+        """``K a``."""
+        scaled = self.data * np.repeat(a, np.diff(self.indptr))
+        return np.bincount(self.indices, weights=scaled, minlength=self.shape[0])
+
+    def rmatvec(self, y: Array) -> Array:
+        """``y^T K``."""
+        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        return np.bincount(cols, weights=y[self.indices] * self.data, minlength=self.shape[1])
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``scipy.optimize.<name>``, loaded from its file.
+
+    ``find_spec("scipy")`` locates the package without running its
+    ``__init__``; the module is loaded under its real dotted name and
+    registered in ``sys.modules``, so a later ``import scipy.optimize``
+    reuses this very object (and one loaded by scipy first is returned
+    here), and the extension is never initialised twice.
+    """
+    qualname = f"scipy.optimize.{name}"
+    module = sys.modules.get(qualname)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError(f"{qualname} needs scipy, which is not installed")
+    base = os.path.join(spec.submodule_search_locations[0], "optimize", *name.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base + suffix
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(qualname, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(qualname, loader))
+            sys.modules[qualname] = module
+            loader.exec_module(module)
+            return module
+    from importlib.metadata import version
+
+    raise ImportError(f"scipy {version('scipy')} has no compiled module {qualname}")
+
+
+def _dense_csc(a: Array) -> Csc:
+    """The nonzeros of a dense matrix, column by column, rows ascending."""
+    cols, rows = np.nonzero(a.T)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=a.shape[1]))])
+    return Csc(a.shape, indptr, rows, a[rows, cols])
+
+
+def marginal_rows(n: int, m: int, head: Array | None = None) -> Csc:
     """Row sums, then column sums, of an ``n x m`` coupling flattened row-major:
     the ``n + m`` equality rows of the transportation polytope ``DS(alpha,
     beta)``, ahead of the right-hand side ``[alpha, beta]``, below the dense
     rows of ``head`` when given.
 
-    Returned as a ``scipy.sparse`` CSC array written column by column: column
-    ``i m + j`` holds the nonzeros of ``head[:, i m + j]``, then a one in row
-    ``i`` and a one in row ``n + j`` of the marginal block.
+    Written column by column: column ``i m + j`` holds the nonzeros of
+    ``head[:, i m + j]``, then a one in row ``i`` and a one in row ``n + j``
+    of the marginal block.
     """
-    from scipy.sparse import csc_array
-
     if head is None:
         head = np.zeros((0, n * m))
     top = head.shape[0]
@@ -119,65 +185,60 @@ def marginal_rows(n: int, m: int, head: Array | None = None):
     col = np.arange(n * m)
     indices[indptr[1:] - 2], indices[indptr[1:] - 1] = top + col // m, top + n + col % m
     data[indptr[1:] - 2] = data[indptr[1:] - 1] = 1.0
-    return csc_array((data, indices, indptr), shape=(top + n + m, n * m))
+    return Csc((top + n + m, n * m), indptr, indices, data)
 
 
-def _highs(cost: Array, kmat, rhs: Array) -> tuple[Array, Array, float]:
-    """One HiGHS solve of ``min cost^T a  s.t.  K a = t, a >= 0`` for a CSC
-    ``kmat``: presolve and output off, the primal feasibility tolerance
-    ``HIGHS_TIGHT_TOL``.  Returns the point, the row duals ``y`` (reduced
-    costs ``cost - K^T y``) and the objective; any model status but optimal
-    (infeasible, unbounded or failed) raises ``NumericError``.
+def _highs(cost: Array, kmat: Csc, rhs: Array) -> tuple[Array, Array, float]:
+    """One HiGHS solve of ``min cost^T a  s.t.  K a = t, a >= 0``: presolve and
+    output off, the primal feasibility tolerance ``HIGHS_TIGHT_TOL``.
+    Returns the point, the row duals ``y`` (reduced costs ``cost - K^T y``)
+    and the objective; any model status but optimal (infeasible, unbounded
+    or failed) raises ``NumericError``.
     """
-    # scipy's private HiGHS bindings, scipy.optimize._highspy._core (run on scipy 1.17.1).
-    from scipy.optimize._highspy import _core
-
+    # scipy's private HiGHS bindings (run on scipy 1.17.1).
+    core = _scipy_extension("_highspy._core")
     m, n = kmat.shape
-    lp = _core.HighsLp()
+    lp = core.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_ = cost
     lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, np.inf)
     lp.row_lower_ = lp.row_upper_ = rhs
     matrix = lp.a_matrix_
-    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.format_ = core.MatrixFormat.kColwise
     matrix.num_col_, matrix.num_row_ = n, m
     matrix.start_, matrix.index_, matrix.value_ = kmat.indptr, kmat.indices, kmat.data
-    highs = _core._Highs()
+    highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
     highs.setOptionValue("primal_feasibility_tolerance", HIGHS_TIGHT_TOL)
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
-    if status != _core.HighsModelStatus.kOptimal:
+    if status != core.HighsModelStatus.kOptimal:
         raise NumericError(f"LP solver failed: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     objective = float(highs.getInfo().objective_function_value)
     return np.array(solution.col_value), np.array(solution.row_dual), objective
 
 
-def _elastic_lp(kmat, rhs: Array) -> tuple[Array | None, Array | None]:
+def _elastic_lp(kmat: Csc, rhs: Array) -> tuple[Array | None, Array | None]:
     """Solve ``min 1^T (s+ + s-)  s.t.  K a + s+ - s- = t`` with every
     variable nonnegative; return ``(a, None)`` or ``(None, y)``.
 
-    The slack columns ``+I`` and ``-I`` are appended to the CSC ``kmat``.  A
-    slack within ``FEASIBILITY_TOL`` gives the ``a`` part, still to be
-    checked by the caller.  A larger slack gives the row duals as a Farkas
-    certificate: the elastic dual is ``max t^T z  s.t.  K^T z <= 0, |z| <=
-    1``, so ``y = -z`` scaled to unit max-norm has ``y^T K >= 0`` and ``y^T t
-    <= -slack``.  It is re-validated before it is returned.
+    The slack columns ``+I`` and ``-I`` are appended to the arrays of
+    ``kmat``.  A slack within ``FEASIBILITY_TOL`` gives the ``a`` part, still
+    to be checked by the caller.  A larger slack gives the row duals as a
+    Farkas certificate: the elastic dual is ``max t^T z  s.t.  K^T z <= 0,
+    |z| <= 1``, so ``y = -z`` scaled to unit max-norm has ``y^T K >= 0`` and
+    ``y^T t <= -slack``.  It is re-validated before it is returned.
     """
-    from scipy.sparse import csc_array
-
     m, n = kmat.shape
     slack_rows = np.arange(m)
-    elastic = csc_array(
-        (
-            np.concatenate([kmat.data, np.ones(m), -np.ones(m)]),
-            np.concatenate([kmat.indices, slack_rows, slack_rows]),
-            np.concatenate([kmat.indptr, kmat.indptr[-1] + np.arange(1, 2 * m + 1)]),
-        ),
-        shape=(m, n + 2 * m),
+    elastic = Csc(
+        (m, n + 2 * m),
+        np.concatenate([kmat.indptr, kmat.indptr[-1] + np.arange(1, 2 * m + 1)]),
+        np.concatenate([kmat.indices, slack_rows, slack_rows]),
+        np.concatenate([kmat.data, np.ones(m), -np.ones(m)]),
     )
     x, duals, slack = _highs(np.concatenate([np.zeros(n), np.ones(2 * m)]), elastic, rhs)
     if slack <= FEASIBILITY_TOL:
@@ -187,7 +248,7 @@ def _elastic_lp(kmat, rhs: Array) -> tuple[Array | None, Array | None]:
     if peak <= 0.0:
         raise NumericError("degenerate Farkas certificate")
     cert = cert / peak
-    if float((cert @ kmat).min()) < -FEASIBILITY_TOL or float(cert @ rhs) > -FEASIBILITY_TOL:
+    if float(kmat.rmatvec(cert).min()) < -FEASIBILITY_TOL or float(cert @ rhs) > -FEASIBILITY_TOL:
         raise NumericError("Farkas certificate failed re-validation")
     return None, cert
 
@@ -195,23 +256,24 @@ def _elastic_lp(kmat, rhs: Array) -> tuple[Array | None, Array | None]:
 def solve_lp(constraint_matrix, rhs, objective=None) -> LpOutcome:
     """Decide ``K a = t, a >= 0`` and optimize ``objective @ a`` when given.
 
-    ``K`` may be dense or ``scipy.sparse``.  Returns one of the two Farkas
-    alternatives with a verifying witness: either a nonnegative solution
-    with residual at most ``FEASIBILITY_TOL``, or a certificate vector
-    proving no such solution exists.  Without an objective this is one
-    solve, of the elastic LP; with one it is one solve of the LP itself,
-    whose row duals come back with the solution, and a system that HiGHS
-    does not solve to optimality (infeasible, unbounded or failed) raises
-    ``NumericError``.
+    ``K`` may be dense, a ``Csc`` or any ``scipy.sparse`` matrix (read
+    through its ``tocsc``).  Returns one of the two Farkas alternatives with
+    a verifying witness: either a nonnegative solution with residual at most
+    ``FEASIBILITY_TOL``, or a certificate vector proving no such solution
+    exists.  Without an objective this is one solve, of the elastic LP; with
+    one it is one solve of the LP itself, whose row duals come back with the
+    solution, and a system that HiGHS does not solve to optimality
+    (infeasible, unbounded or failed) raises ``NumericError``.
     """
-    from scipy.sparse import csc_array, issparse
-
-    if issparse(constraint_matrix):
-        kmat = csc_array(constraint_matrix, dtype=float)
-        if min(kmat.shape) < 1 or not np.all(np.isfinite(kmat.data)):
-            raise ValueError(f"constraint matrix must be nonempty and finite, got shape {kmat.shape}")
+    if isinstance(constraint_matrix, Csc):
+        kmat = constraint_matrix
+    elif hasattr(constraint_matrix, "tocsc"):
+        csc = constraint_matrix.tocsc()
+        kmat = Csc(csc.shape, csc.indptr, csc.indices, np.asarray(csc.data, dtype=float))
     else:
-        kmat = csc_array(as_matrix(constraint_matrix, "constraint matrix"))
+        kmat = _dense_csc(as_matrix(constraint_matrix, "constraint matrix"))
+    if min(kmat.shape) < 1 or not np.all(np.isfinite(kmat.data)):
+        raise ValueError(f"constraint matrix must be nonempty and finite, got shape {kmat.shape}")
     rhs = np.asarray(rhs, dtype=float)
     m, n = kmat.shape
     if rhs.shape != (m,):
@@ -234,7 +296,7 @@ def solve_lp(constraint_matrix, rhs, objective=None) -> LpOutcome:
     solution[(solution < 0.0) & (solution > -HIGHS_TIGHT_TOL)] = 0.0
     if solution.min() < -HIGHS_TIGHT_TOL:
         raise NumericError("LP solution has a negative entry")
-    residual = float(np.abs(kmat @ solution - rhs).max())
+    residual = float(np.abs(kmat.matvec(solution) - rhs).max())
     if residual > FEASIBILITY_TOL:
         raise NumericError(f"LP solution residual too large: {residual:.3e}")
     return LpOutcome(status="feasible", solution=solution, row_duals=duals)
@@ -346,10 +408,8 @@ def certify_potentials(
 
 
 def linear_sum_assignment(cost: Array) -> tuple[Array, Array]:
-    """scipy's ``linear_sum_assignment``, imported on first call."""
-    from scipy.optimize import linear_sum_assignment as solve
-
-    return solve(cost)
+    """scipy's ``linear_sum_assignment``, from its compiled module ``_lsap``."""
+    return _scipy_extension("_lsap").linear_sum_assignment(cost)
 
 
 def hungarian(cost) -> tuple[Array, tuple[Array, Array]]:

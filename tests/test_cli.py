@@ -12,7 +12,7 @@ from helpers import MERCEDES_BENZ, random_frame_measure, remark_instance, with_r
 from pframes import canonical_dual
 from pframes.cli import main
 from pframes.duality import plan_arrays_from_payload
-from pframes.measures import measure_from_payload, measure_to_payload
+from pframes.measures import DiscreteMeasure, measure_from_payload, measure_to_payload
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -523,6 +523,96 @@ def test_commands_that_never_solve_load_no_scipy_solver(tmp_path):
     codes, loaded = run_child(code, json.dumps(commands))
     assert codes == [0] * (len(commands) - 1) + [2]
     assert loaded == []
+
+
+SOLVER_EXTENSIONS = ("scipy.optimize._lsap", "scipy.optimize._highspy._core")
+
+
+def test_commands_that_solve_load_only_the_two_scipy_solvers(tmp_path):
+    rng = np.random.default_rng(31)
+
+    def measure(name, atoms, weights):
+        payload = {"dim": 2, "atoms": atoms.tolist(), "weights": weights.tolist()}
+        return write_json(tmp_path / name, payload)
+
+    # Dirichlet weights on 5 and 7 atoms: W2 and the profile solve the LP.
+    mu = measure("mu.json", rng.normal(size=(5, 2)), rng.dirichlet(np.ones(5)))
+    nu = measure("nu.json", rng.normal(size=(7, 2)), rng.dirichlet(np.ones(7)))
+    # A uniform pair paired out of order: the assignment solver decides.
+    atoms = rng.normal(size=(6, 2))
+    left = measure("left.json", atoms, np.full(6, 1 / 6))
+    right = measure("right.json", atoms[rng.permutation(6)] + 0.1, np.full(6, 1 / 6))
+    # A zero-centroid frame against its canonical dual with one atom split:
+    # feasible, but paired neither atom by atom nor by a first moment.
+    frame_atoms = rng.normal(size=(5, 2))
+    frame = DiscreteMeasure(frame_atoms - frame_atoms.mean(axis=0), np.full(5, 0.2))
+    dual = canonical_dual(frame).atoms
+    split = np.vstack([dual[:-1], dual[-1] + 0.3, dual[-1] - 0.3])
+    framed = write_measure(tmp_path / "frame.json", frame)
+    split_dual = measure("split.json", split, np.append(np.full(4, 0.2), [0.1, 0.1]))
+    # No transposition beats the identity of this 4-point set, but a 4-cycle
+    # does (tests/test_transport.py), so the assignment solver runs.
+    cycle = write_json(
+        tmp_path / "cycle.json",
+        {
+            "xs": [[-1.18, -0.85], [-0.05, -1.88], [1.43, 1.06], [1.25, -0.51]],
+            "ys": [[0.24, -0.95], [1.55, -1.21], [-0.51, 1.42], [2.49, -0.09]],
+        },
+    )
+    commands = [
+        ["wasserstein", mu, nu],
+        ["wasserstein", left, right],
+        ["geodesic-profile", mu, nu, "--grid", "5"],
+        ["transport-dual", framed, split_dual],
+        ["monotone", cycle],
+    ]
+    code = (
+        "import json, sys; from pframes.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))"
+    )
+    codes, loaded = run_child(code, json.dumps(commands))
+    assert codes == [0] * len(commands)
+    assert "scipy.optimize" not in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+    assert set(SOLVER_EXTENSIONS) <= set(loaded)
+    assert all(m.startswith(SOLVER_EXTENSIONS) for m in loaded)
+
+
+SOLVE_BOTH = (
+    "import numpy as np; "
+    "from pframes.optim import hungarian, solve_lp; "
+    "hungarian(np.array([[1.0, 0.0], [0.0, 1.0]])); "
+    "solve_lp(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0])); "
+)
+
+
+def test_scipy_optimize_imported_after_pframes_reuses_its_solvers():
+    code = (
+        "import json, sys; "
+        + SOLVE_BOTH
+        + "ours = {m: sys.modules[m] for m in json.loads(sys.argv[1])}; "
+        "from scipy.optimize import linear_sum_assignment, linprog; "
+        "lp = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method='highs'); "
+        "rows, cols = linear_sum_assignment(np.array([[1.0, 0.0], [0.0, 1.0]])); "
+        "print(json.dumps([lp.status, lp.x.tolist(), cols.tolist(), "
+        "all(sys.modules[m] is mod for m, mod in ours.items())]))"
+    )
+    assert run_child(code, json.dumps(SOLVER_EXTENSIONS)) == [0, [1.0, 0.0], [1, 0], True]
+
+
+def test_pframes_reuses_the_solvers_of_an_imported_scipy_optimize():
+    code = (
+        "import json, sys; import scipy.optimize; "
+        "theirs = {m: sys.modules[m] for m in json.loads(sys.argv[1])}; "
+        "before = sorted(m for m in sys.modules if m.startswith('scipy')); "
+        + SOLVE_BOTH
+        + "from pframes.optim import _scipy_extension; "
+        "print(json.dumps([before == sorted(m for m in sys.modules if m.startswith('scipy')), "
+        "all(sys.modules[m] is mod is _scipy_extension(m.removeprefix('scipy.optimize.')) "
+        "for m, mod in theirs.items())]))"
+    )
+    assert run_child(code, json.dumps(SOLVER_EXTENSIONS)) == [True, True]
 
 
 def test_assignments_load_no_sparse_graph_solver():

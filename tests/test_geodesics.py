@@ -390,6 +390,20 @@ def test_szulc_condition_on_an_ill_conditioned_frame():
     assert szulc_condition(phi, 2.0 * phi)
 
 
+def test_szulc_condition_on_a_barely_full_rank_frame():
+    # Phi's smallest singular value ratio is just above RANK_RTOL; the raw
+    # segment dips below that cut by round-off at t near 1e-12, while the
+    # whitened segment the roots were computed from keeps rank 3.
+    rng = np.random.default_rng(113)
+    u = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    middle = rng.uniform(0.1, 1.0)
+    smallest = rng.uniform(1.0, 1.5) * 1e-12
+    phi = u @ np.diag([1.0, middle, smallest]) @ v.T
+    psi = rng.standard_normal((5, 3))
+    assert szulc_condition(phi, psi)
+
+
 def test_szulc_condition_rejects_rank_deficient():
     ones = np.ones((3, 2))
     with pytest.raises(ValueError):

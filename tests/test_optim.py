@@ -150,6 +150,13 @@ def assert_same_optimum(value, reference):
     assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
 
 
+def dense_of(kmat):
+    """The dense matrix that a ``Csc`` record holds, read by scipy.sparse."""
+    from scipy.sparse import csc_array
+
+    return csc_array((kmat.data, kmat.indices, kmat.indptr), shape=kmat.shape).toarray()
+
+
 def test_marginal_rows_match_the_dense_kron_blocks():
     rng = np.random.default_rng(3)
     head = rng.normal(size=(4, 15)) * (rng.random((4, 15)) < 0.6)
@@ -158,14 +165,19 @@ def test_marginal_rows_match_the_dense_kron_blocks():
         if top is not None:
             dense = np.vstack([top, dense])
         rows = pframes.optim.marginal_rows(n, m, head=top)
-        assert rows.format == "csc" and rows.has_sorted_indices
-        assert np.array_equal(rows.toarray(), dense)
-        assert rows.nnz == np.count_nonzero(dense)
+        assert rows.shape == dense.shape
+        assert np.array_equal(dense_of(rows), dense)
+        assert rows.indptr[-1] == rows.indices.size == rows.data.size == np.count_nonzero(dense)
+        # Rows ascend strictly within every column.
+        cols = np.repeat(np.arange(rows.shape[1]), np.diff(rows.indptr))
+        assert np.all((np.diff(rows.indices) > 0) | (np.diff(cols) > 0))
+        # K a and y^T K from the arrays.
+        a, y = rng.normal(size=n * m), rng.normal(size=rows.shape[0])
+        assert np.allclose(rows.matvec(a), dense @ a, rtol=0.0, atol=1e-12)
+        assert np.allclose(rows.rmatvec(y), y @ dense, rtol=0.0, atol=1e-12)
 
 
 def test_elastic_systems_agree_with_linprog():
-    from scipy.sparse import csc_array
-
     rng = np.random.default_rng(4048)
     seen = set()
     for trial in range(60):
@@ -182,7 +194,7 @@ def test_elastic_systems_agree_with_linprog():
         # The elastic LP itself, through the binding and through linprog.
         elastic = np.hstack([kmat, np.eye(m), -np.eye(m)])
         cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
-        value = pframes.optim._highs(cost, csc_array(elastic), rhs)[2]
+        value = pframes.optim._highs(cost, pframes.optim._dense_csc(elastic), rhs)[2]
         assert_same_optimum(value, oracle(cost, elastic, rhs).fun)
     assert seen == {"feasible", "infeasible"}
 
@@ -196,7 +208,7 @@ def test_w2_lps_agree_with_linprog(alpha):
         rows = pframes.optim.marginal_rows(n, m)
         rhs = np.concatenate(weights)
         out = solve_lp(rows, rhs, cost)
-        reference = oracle(cost, rows.toarray(), rhs, tight=True)
+        reference = oracle(cost, dense_of(rows), rhs, tight=True)
         assert out.status == "feasible" and reference.status == 0
         assert_same_optimum(float(cost @ out.solution), reference.fun)
 
@@ -218,7 +230,7 @@ def tiny_weight_lp(seed):
 def test_tiny_weight_lps_agree_with_linprog(seed):
     kmat, rhs, cost = tiny_weight_lp(seed)
     out = solve_lp(kmat, rhs, cost)
-    reference = oracle(cost, kmat.toarray(), rhs, tight=True)
+    reference = oracle(cost, dense_of(kmat), rhs, tight=True)
     assert out.status == "feasible" and reference.status == 0
     assert_same_optimum(float(cost @ out.solution), reference.fun)
 
@@ -233,7 +245,7 @@ def test_tiny_weight_lps_are_one_tight_solve(monkeypatch):
         out = solve_lp(kmat, rhs, cost)
         assert calls == ["_highs"]
         assert out.status == "feasible"
-        assert float(np.abs(kmat @ out.solution - rhs).max()) <= HIGHS_TIGHT_TOL
+        assert float(np.abs(dense_of(kmat) @ out.solution - rhs).max()) <= HIGHS_TIGHT_TOL
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -258,7 +270,7 @@ def test_transport_dual_systems_agree_with_linprog(seed):
     kmat = pframes.optim.marginal_rows(n, m, head=np.kron(mu.atoms.T, nu.atoms.T))
     rhs = np.concatenate([np.eye(d).ravel(), mu.weights, nu.weights])
     out = solve_lp(kmat, rhs)
-    reference = oracle(np.zeros(n * m), kmat.toarray(), rhs)
+    reference = oracle(np.zeros(n * m), dense_of(kmat), rhs)
     assert out.status == ("feasible" if reference.status == 0 else "infeasible")
     assert out.status == ("feasible" if seed % 2 else "infeasible")
     if out.status == "infeasible":
@@ -285,6 +297,25 @@ def test_sparse_constraint_matrix_is_checked_and_solved_alike():
     dense = solve_lp(kmat, rhs, np.array([1.0, 2.0]))
     sparse = solve_lp(csr_array(kmat), rhs, np.array([1.0, 2.0]))
     assert np.array_equal(dense.solution, sparse.solution)
+
+
+@pytest.mark.parametrize(
+    "rhs, objective",
+    [([1.0, 0.5, 2.0], None), ([1.0, 0.5, -2.0], None), ([1.0, 0.5, 2.0], [1.0, 2.0, 0.5])],
+    ids=["feasible", "infeasible", "objective"],
+)
+def test_dense_csr_and_csc_systems_give_one_outcome(rhs, objective):
+    from scipy.sparse import csc_matrix, csr_matrix
+
+    # A zero entry, which the sparse forms do not store.
+    kmat = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 2.0], [0.0, 3.0, 1.0]])
+    outcomes = [solve_lp(form(kmat), np.array(rhs), objective) for form in (np.array, csr_matrix, csc_matrix)]
+    assert outcomes[0].status == ("infeasible" if rhs[2] < 0 else "feasible")
+    for out in outcomes[1:]:
+        assert out.status == outcomes[0].status
+        for field in ("solution", "dual_certificate", "row_duals"):
+            got, want = getattr(out, field), getattr(outcomes[0], field)
+            assert (got is None and want is None) or np.array_equal(got, want)
 
 
 def test_best_transposition_is_the_largest_gain_first_in_row_order():
