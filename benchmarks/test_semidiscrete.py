@@ -9,6 +9,8 @@ targets: 8 and 32 sites on the unit square at 200k samples, 16 in the unit
 cube at 100k (the median group of the ``adapt`` workload in ``bench/``) and
 16 on a 2-d standard Gaussian at 200k;
 ``assign_cells`` labels 200k points of the unit cube with 16 sites;
+``_nearest_two``, the kernel of one Newton evaluation, finds the best and
+second-best of 16 sites for 100k points of the unit cube;
 ``reconstruct`` runs analysis and synthesis over 100k samples of a 16-site
 coupling on the unit square.
 """
@@ -16,6 +18,7 @@ coupling on the unit square.
 import numpy as np
 import pytest
 
+from pframes import semidiscrete
 from pframes.semidiscrete import (
     BoxReference,
     GaussianReference,
@@ -63,6 +66,16 @@ def test_assign_cells(benchmark):
     points = rng.uniform(size=(200_000, 3))
     cells = benchmark(assign_cells, sites, weights, points)
     assert cells.shape == (200_000,)
+
+
+def test_nearest_two(benchmark):
+    rng = np.random.default_rng(16)
+    sites = rng.uniform(size=(16, 3))
+    weights = rng.normal(size=16) * 0.05
+    points = rng.uniform(size=(100_000, 3))
+    best, second, gap = benchmark(semidiscrete._nearest_two, sites, weights, points)
+    assert best.shape == second.shape == gap.shape == (100_000,)
+    assert np.all(best != second) and np.all(gap >= 0.0)
 
 
 def test_reconstruct(benchmark):

@@ -17,10 +17,12 @@ fallback.  Newton runs coarse to fine (Merigot, Computer Graphics Forum
 it first adapts the weights on the first ``1/COARSE_FACTOR`` of the
 samples, and the full set starts from them.  Cell masses are Monte Carlo
 estimates on one fixed sample set (common random numbers), so a run is
-deterministic given its seed.  Every
-power score comes from one chunked GEMM kernel, ``_power_scores``, whose
-memory is linear in the number of sites.  The resulting couplings realize
-probabilistic analysis and synthesis: coefficient functions are sampled over
+deterministic given its seed.  Every power score comes from one chunked GEMM
+kernel, ``_power_scores``, whose memory is linear in the number of sites.
+Its blocks hold sites down and points across, so a point's cell comes from
+elementwise minima over the rows of sites (``_lowest``), not from an argmin
+along a short axis per point.  The resulting couplings realize probabilistic
+analysis and synthesis: coefficient functions are sampled over
 the reference and synthesized back by cell-indexed frame tables.
 """
 
@@ -42,7 +44,7 @@ MAX_ITER = 10_000
 # Step schedule scale*damp/(damp + k): harmonic decay from a travel-scale
 # first step; the dual is concave, so no line search is needed at this scale.
 STEP_DAMP = 50.0
-# Rows per block of the score kernel: a block holds SCORE_ROWS * n scores.
+# Points per block of the score kernel: a block holds n * SCORE_ROWS scores.
 SCORE_ROWS = 4096
 # Share of the samples, those closest to a cell boundary by score gap, that
 # estimate the mass Jacobian.
@@ -129,26 +131,58 @@ class PowerDiagram:
 
 
 def _power_scores(sites: Array, weights: Array, points: Array):
-    """Power scores ``||x - p||^2 - w(p) - ||x||^2`` in blocks of rows.
+    """Power scores ``||x - p||^2 - w(p) - ||x||^2`` in blocks of points.
 
-    Yields ``(start, block)``, where ``block[i, p] = |p|^2 - w(p) - 2 x.p``
-    for ``x = points[start + i]``: one GEMM per block of ``SCORE_ROWS``
-    points, so memory stays ``O(SCORE_ROWS * n)``.  The dropped ``||x||^2``
-    is common to a row and does not move its argmin.
+    Yields ``(part, block)``, where ``block[p, i] = |p|^2 - w(p) - 2 p.x``
+    for ``x = points[part][i]``: sites run down the block and points across
+    it, one GEMM per ``SCORE_ROWS`` points, so memory stays
+    ``O(SCORE_ROWS * n)``.  The dropped ``||x||^2`` is common to a column
+    and does not move its minimum.  With sites down the block, the minimum
+    over sites is an elementwise reduction of ``n`` contiguous rows; an
+    argmin along a short last axis instead makes one inner numpy call per
+    point, whose overhead dominates up to a few dozen sites.
     """
-    offset = (sites**2).sum(axis=1) - weights
-    factor = -2.0 * sites.T
+    offset = ((sites**2).sum(axis=1) - weights)[:, None]
+    factor = -2.0 * sites
     for start in range(0, points.shape[0], SCORE_ROWS):
-        block = points[start : start + SCORE_ROWS] @ factor
+        part = slice(start, start + SCORE_ROWS)
+        block = factor @ points[part].T
         block += offset
-        yield start, block
+        yield part, block
+
+
+def _lowest(block: Array) -> tuple[Array, Array]:
+    """Each column's minimum and the lowest site index attaining it.
+
+    The index is found without ``argmin``: site ``p`` gets rank ``n - p``,
+    and the largest rank among a column's minima is its lowest site (the
+    rule ``argmin`` follows on ties).  A column with a NaN score has no
+    minimum and gets index ``n``, so callers must reject non-finite minima.
+    """
+    n = block.shape[0]
+    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    low = block.min(axis=0)
+    return low, n - (rank * (block == low)).max(axis=0)
 
 
 def assign_cells(sites: Array, weights: Array, points: Array) -> Array:
-    """Cell index per point; argmin takes the lowest index on ties."""
+    """Cell index per point, ties to the lowest site index.
+
+    Raises ``ValueError`` unless ``points`` is a nonempty ``(S, d)`` array in
+    the sites' dimension whose power scores are all finite: a NaN score has
+    no minimum to find, so non-finite points, weights or overflowing
+    coordinates are rejected rather than given a cell.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] != sites.shape[1]:
+        raise ValueError(
+            f"points must be a nonempty (S, {sites.shape[1]}) array, got shape {points.shape}"
+        )
     cells = np.empty(points.shape[0], dtype=np.intp)
-    for start, scores in _power_scores(sites, weights, points):
-        cells[start : start + scores.shape[0]] = scores.argmin(axis=1)
+    for part, block in _power_scores(sites, weights, points):
+        low, cells[part] = _lowest(block)
+        if not np.all(np.isfinite(low)):
+            raise ValueError("points or weights give non-finite power scores")
     return cells
 
 
@@ -158,22 +192,17 @@ def _nearest_two(sites: Array, weights: Array, points: Array) -> tuple[Array, Ar
     best = np.empty(count, dtype=np.intp)
     second = np.empty(count, dtype=np.intp)
     gap = np.empty(count)
-    for start, scores in _power_scores(sites, weights, points):
-        part = slice(start, start + scores.shape[0])
-        rows = np.arange(scores.shape[0])
-        best[part] = scores.argmin(axis=1)
-        low = scores[rows, best[part]]
-        scores[rows, best[part]] = np.inf
-        second[part] = scores.argmin(axis=1)
-        gap[part] = scores[rows, second[part]] - low
+    for part, block in _power_scores(sites, weights, points):
+        low, best[part] = _lowest(block)
+        block[best[part], np.arange(block.shape[1])] = np.inf
+        low_second, second[part] = _lowest(block)
+        gap[part] = low_second - low
     return best, second, gap
 
 
 def voronoi_map(diagram: PowerDiagram, x) -> int:
     """Site index of the power cell containing ``x``."""
     point = np.asarray(x, dtype=float).reshape(1, -1)
-    if point.shape[1] != diagram.sites.shape[1]:
-        raise ValueError("point dimension does not match diagram")
     return int(assign_cells(diagram.sites, diagram.weights, point)[0])
 
 
@@ -206,9 +235,8 @@ class FunctionSamples:
 def dual_objective(sites: Array, weights: Array, targets: Array, points: Array) -> float:
     """Monte Carlo estimate of the semi-discrete dual ``F(w)`` on ``points``."""
     total = 0.0
-    for start, scores in _power_scores(sites, weights, points):
-        block = points[start : start + scores.shape[0]]
-        total += float((scores.min(axis=1) + (block**2).sum(axis=1)).sum())
+    for part, block in _power_scores(sites, weights, points):
+        total += float((block.min(axis=0) + (points[part] ** 2).sum(axis=1)).sum())
     return float(targets @ weights + total / points.shape[0])
 
 

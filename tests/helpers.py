@@ -276,6 +276,31 @@ def broadcast_power_scores(sites, weights, points):
     return ((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2) - weights[None, :]
 
 
+def row_major_power_scores(sites, weights, points, rows):
+    """Points-by-sites power scores ``x (-2 P^T) + |p|^2 - w`` by one GEMM
+    per block of ``rows`` points, the transpose of the library's site-major
+    blocks: a reference for its GEMM only."""
+    blocks = []
+    for start in range(0, points.shape[0], rows):
+        block = points[start : start + rows] @ (-2.0 * sites.T)
+        block += (sites**2).sum(axis=1) - weights
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def argmin_nearest_two(scores):
+    """Best column, second-best column and their score gap per row of
+    ``scores`` by ``argmin`` along rows, a reference for the library's
+    minima over sites only."""
+    rows = np.arange(scores.shape[0])
+    scores = scores.copy()
+    best = scores.argmin(axis=1)
+    low = scores[rows, best]
+    scores[rows, best] = np.inf
+    second = scores.argmin(axis=1)
+    return best, second, scores[rows, second] - low
+
+
 def spread_sites(rng, reference, count):
     """Sites spread over ``reference`` by farthest-point sampling of a pool."""
     pool = reference.sample(rng, 4000)

@@ -8,9 +8,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
+    argmin_nearest_two,
     broadcast_power_scores,
     gathered_analysis,
     gathered_synthesis,
+    row_major_power_scores,
     spread_sites,
 )
 from pframes import semidiscrete
@@ -90,6 +92,83 @@ def test_assign_cells_agrees_with_broadcast_scores():
     rows = np.arange(moved.size)
     low = scores.min(axis=1)
     assert np.all(scores[rows, cells[moved]] - low <= 1e-12 * (1.0 + np.abs(scores).max(axis=1)))
+
+
+def nearest_two_instance(kind, n, count, dim):
+    rng = np.random.default_rng([n, count, dim])
+    if kind == "random":
+        return rng.normal(size=(n, dim)), rng.normal(size=n) * 0.3, rng.normal(size=(count, dim))
+    # Integer sites (repeats included) and weights with half-integer points:
+    # every score is exact, and many points tie between two or more sites.
+    sites = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    weights = rng.integers(-1, 2, size=n).astype(float)
+    return sites, weights, rng.integers(-6, 7, size=(count, dim)) / 2.0
+
+
+ROWS = semidiscrete.SCORE_ROWS
+
+
+@pytest.mark.parametrize("kind", ["random", "grid"])
+@pytest.mark.parametrize("n", [1, 2, 16, 255, 256])
+@pytest.mark.parametrize("count", [1, ROWS - 1, ROWS, ROWS + 1])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_site_major_kernel_matches_row_argmin(kind, n, count, dim):
+    # n = 255 and 256 are the most sites the uint8 and uint16 ranks hold.
+    sites, weights, points = nearest_two_instance(kind, n, count, dim)
+    scores = np.hstack([block for _, block in semidiscrete._power_scores(sites, weights, points)]).T
+    best, second, gap = argmin_nearest_two(scores)
+    got_best, got_second, got_gap = semidiscrete._nearest_two(sites, weights, points)
+    assert np.array_equal(got_best, best)
+    assert np.array_equal(got_second, second)
+    assert np.array_equal(got_gap, gap)
+    assert np.array_equal(assign_cells(sites, weights, points), best)
+    if n == 1:
+        assert np.all(second == 0) and np.all(gap == np.inf)
+    elif kind == "grid" and n >= 16 and count > 1:
+        assert np.any(gap == 0.0)
+    # Against the points-by-sites GEMM: the same cells and runner-up cells.
+    # Grid scores are exact, so they agree bit for bit.  OpenBLAS may round
+    # the turned-around product differently (fused or separate multiply-add
+    # per tile), so random scores agree to the rounding bound of a sum of
+    # dim + 1 terms, taken twice.
+    reference = row_major_power_scores(sites, weights, points, ROWS)
+    ref_best, ref_second, _ = argmin_nearest_two(reference)
+    assert np.array_equal(ref_best, best)
+    assert np.array_equal(ref_second, second)
+    if kind == "grid":
+        assert np.array_equal(reference, scores)
+    else:
+        terms = np.abs((sites**2).sum(axis=1) - weights) + 2.0 * np.abs(points) @ np.abs(sites).T
+        bound = (dim + 1) * np.finfo(float).eps * terms
+        assert np.all(np.abs(reference - scores) <= bound)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_points_and_weights_are_rejected():
+    points = np.zeros((5, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        points[3, 1] = bad
+        with pytest.raises(ValueError):
+            assign_cells(TWO_SITES, np.zeros(2), points)
+    with pytest.raises(ValueError):
+        assign_cells(TWO_SITES, np.array([0.0, np.nan]), np.zeros((5, 2)))
+    # Finite coordinates whose squares overflow have no finite score either.
+    with pytest.raises(ValueError):
+        assign_cells(TWO_SITES * 1e200, np.zeros(2), np.full((5, 2), 1e200))
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (4,), (4, 3), (2, 4, 2)])
+def test_assign_cells_rejects_misshapen_points(shape):
+    with pytest.raises(ValueError):
+        assign_cells(TWO_SITES, np.zeros(2), np.zeros(shape))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0], [1.0], []])
+def test_voronoi_map_rejects_bad_points(x):
+    diagram = PowerDiagram(TWO_SITES, np.zeros(2), GaussianReference(2))
+    with pytest.raises(ValueError):
+        voronoi_map(diagram, x)
 
 
 def traced_peak_mb(call):
@@ -500,6 +579,22 @@ def test_cell_dual_table_gives_identity_cross_moment():
     assert np.abs(cross_moment(tagged) - np.eye(2)).max() <= 1e-10
     fresh = GaussianReference(2).sample(np.random.default_rng(14), 200_000)
     assert np.abs(cross_moment(tagged, fresh) - np.eye(2)).max() <= 0.05
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", ["nan", "inf", "dimension", "flat", "empty"])
+def test_cross_moment_rejects_bad_points(bad):
+    coupling = small_coupling(seed=20, count=5_000)
+    points = GaussianReference(2).sample(np.random.default_rng(21), 100)
+    points = {
+        "nan": np.where(np.arange(100)[:, None] == 7, np.nan, points),
+        "inf": np.where(np.arange(100)[:, None] == 7, np.inf, points),
+        "dimension": np.hstack([points, points[:, :1]]),
+        "flat": points[:, 0],
+        "empty": points[:0],
+    }[bad]
+    with pytest.raises(ValueError):
+        cross_moment(coupling, points)
 
 
 def test_sample_set_mismatch_rejected():
