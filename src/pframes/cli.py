@@ -103,7 +103,7 @@ def _adapt(args, path: str):
 
 
 def cmd_frame_report(args) -> dict:
-    report = measures.frame_report(measures.load_measure(args.measure))
+    report = measures.frame_report(measures.measure_from_payload(_load_json(args.measure)))
     return {
         "lower": report.lower_bound,
         "upper": report.upper_bound,

@@ -123,12 +123,13 @@ def cross_moment_matrix(plan: TransportPlan) -> Array:
     return plan.row_measure.atoms.T @ plan.coupling @ plan.col_measure.atoms
 
 
-def verify_transport_dual(plan: TransportPlan, tol: float = PRODUCT_TOL) -> bool:
-    """True iff the plan's cross second moment is the identity within tol."""
+def verify_transport_dual(plan: TransportPlan) -> bool:
+    """True iff the plan's cross second moment is the identity within
+    ``PRODUCT_TOL``."""
     d = plan.row_measure.dim
     if plan.col_measure.dim != d:
         return False
-    return bool(np.abs(cross_moment_matrix(plan) - np.eye(d)).max() <= tol)
+    return bool(np.abs(cross_moment_matrix(plan) - np.eye(d)).max() <= PRODUCT_TOL)
 
 
 def _require_frame(measure: DiscreteMeasure) -> None:
@@ -326,18 +327,6 @@ def plan_to_payload(plan: TransportPlan) -> dict:
         "row_weights": plan.row_measure.weights.tolist(),
         "col_weights": plan.col_measure.weights.tolist(),
     }
-
-
-def plan_arrays_from_payload(payload: dict) -> tuple[Array, Array, Array]:
-    for key in ("coupling", "row_weights", "col_weights"):
-        if key not in payload:
-            raise ValueError(f"plan payload missing '{key}'")
-    coupling = np.asarray(payload["coupling"], dtype=float)
-    rows = np.asarray(payload["row_weights"], dtype=float)
-    cols = np.asarray(payload["col_weights"], dtype=float)
-    if coupling.ndim != 2 or coupling.shape != (rows.shape[0], cols.shape[0]):
-        raise ValueError("plan payload shapes are inconsistent")
-    return coupling, rows, cols
 
 
 def certificate_to_payload(cert: FarkasCertificate) -> dict:

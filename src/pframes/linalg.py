@@ -1,15 +1,13 @@
 """Dense real linear algebra shared by every other module.
 
-Thin, contract-checked wrappers around LAPACK-backed numpy routines:
-symmetric eigendecomposition, general (complex) eigenvalues, SVD
-pseudoinverse, and the symmetric PSD matrix square root.  All functions
-are pure and operate on plain ``numpy.ndarray`` values at desk scale
-(dimensions up to ~100).
+Thin, contract-checked wrappers around LAPACK-backed numpy routines: the
+ascending eigenvalues of a symmetric matrix, the negative-real-eigenvalue
+test on a general one, SVD pseudoinverse, and the symmetric PSD matrix
+square root.  All functions are pure, take and return plain
+``numpy.ndarray`` values, and work at desk scale (dimensions up to ~100).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,42 +42,12 @@ def require_symmetric(a: Array, name: str = "matrix") -> None:
         raise ValueError(f"{name} is not symmetric within {SYMMETRY_RTOL} relative tolerance")
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (always stored complex) plus eigenvectors when available.
-
-    For symmetric input the eigenvalues are real, sorted nondecreasing, and
-    ``eigenvectors`` holds an orthonormal basis in its columns.  For general
-    input the eigenvalues are sorted by (real, imag) and no eigenvectors are
-    provided.
-    """
-
-    eigenvalues: Array
-    eigenvectors: Array | None = None
-
-
-def sym_eig(m) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+def sym_eig(m) -> Array:
+    """Eigenvalues of a symmetric matrix, ascending, as a real array."""
     a = as_matrix(m)
     require_square(a)
     require_symmetric(a)
-    w, q = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=w.astype(complex), eigenvectors=q)
-
-
-def real_eigenvalues(m) -> Spectrum:
-    """All complex eigenvalues of a square real matrix.
-
-    Sorted by (real part, imaginary part) so repeated calls are deterministic.
-    """
-    a = as_matrix(m)
-    require_square(a)
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # QR iteration did not converge
-        raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    return Spectrum(eigenvalues=vals[order])
+    return np.linalg.eigvalsh(a)
 
 
 def pinv(m) -> Array:
@@ -130,7 +98,10 @@ def has_negative_real_eigenvalue(m) -> bool:
     """
     a = as_matrix(m)
     require_square(a)
-    vals = real_eigenvalues(a).eigenvalues
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:  # QR iteration did not converge
+        raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
     tol = 1e-9 * (1.0 + float(np.linalg.norm(a)))
     return bool(np.any((vals.real < -tol) & (np.abs(vals.imag) <= tol)))
 

@@ -10,7 +10,6 @@ bounds, and linear pushforwards.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +168,8 @@ def second_moment(measure: Measure) -> float:
 
 def frame_report(measure: Measure) -> FrameReport:
     """Frame bounds are the extreme eigenvalues of the frame operator."""
-    spec = linalg.sym_eig(frame_operator(measure))
-    lo = float(spec.eigenvalues[0].real)
-    hi = float(spec.eigenvalues[-1].real)
+    vals = linalg.sym_eig(frame_operator(measure))
+    lo, hi = float(vals[0]), float(vals[-1])
     return FrameReport(
         lower_bound=max(lo, 0.0),
         upper_bound=hi,
@@ -225,8 +223,3 @@ def measure_from_payload(payload: dict) -> Measure:
             raise ValueError("gaussian measure payload missing 'cov'")
         return GaussianMeasure(mean=payload["mean"], covariance=payload["cov"])
     raise ValueError("measure payload must contain either 'atoms' or 'mean'")
-
-
-def load_measure(path) -> Measure:
-    with open(path, "r", encoding="utf-8") as fh:
-        return measure_from_payload(json.load(fh))

@@ -256,8 +256,8 @@ def _elastic_lp(kmat: Csc, rhs: Array) -> tuple[Array | None, Array | None]:
 def solve_lp(constraint_matrix, rhs, objective=None) -> LpOutcome:
     """Decide ``K a = t, a >= 0`` and optimize ``objective @ a`` when given.
 
-    ``K`` may be dense, a ``Csc`` or any ``scipy.sparse`` matrix (read
-    through its ``tocsc``).  Returns one of the two Farkas alternatives with
+    ``K`` is a dense matrix or a ``Csc``; a ``scipy.sparse`` matrix is
+    rejected, not converted.  Returns one of the two Farkas alternatives with
     a verifying witness: either a nonnegative solution with residual at most
     ``FEASIBILITY_TOL``, or a certificate vector proving no such solution
     exists.  Without an objective this is one solve, of the elastic LP; with
@@ -267,9 +267,6 @@ def solve_lp(constraint_matrix, rhs, objective=None) -> LpOutcome:
     """
     if isinstance(constraint_matrix, Csc):
         kmat = constraint_matrix
-    elif hasattr(constraint_matrix, "tocsc"):
-        csc = constraint_matrix.tocsc()
-        kmat = Csc(csc.shape, csc.indptr, csc.indices, np.asarray(csc.data, dtype=float))
     else:
         kmat = _dense_csc(as_matrix(constraint_matrix, "constraint matrix"))
     if min(kmat.shape) < 1 or not np.all(np.isfinite(kmat.data)):

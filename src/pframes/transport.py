@@ -143,7 +143,9 @@ def is_cyclically_monotone(pairs) -> tuple[bool, Array | None]:
     if xs.ndim != 2 or xs.shape != ys.shape:
         raise ValueError("pairs must hold vectors of one common dimension")
     n = len(pairs)
-    gains = as_matrix(xs @ ys.T, "cost")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = xs @ ys.T  # as_matrix rejects the non-finite entries
+    gains = as_matrix(gains, "cost")
     identity_value = float(np.trace(gains))
 
     def beats_identity(sigma: Array) -> bool:

@@ -225,12 +225,12 @@ def merge_by_unique(measure):
     return DiscreteMeasure(atoms=measure.atoms[np.sort(first)], weights=weights)
 
 
-def profile_by_measures(mu0, mu1, plan, grid_size):
+def profile_by_measures(plan, grid_size):
     """Geodesic profile one interpolant at a time: ``geodesic_measure`` (with
     its duplicate-atom merge) and ``frame_report`` at every grid point, a
     reference for the closed-form profile only."""
     ts = np.linspace(0.0, 1.0, grid_size)
-    reports = [frame_report(geodesic_measure(mu0, mu1, plan, float(t))) for t in ts]
+    reports = [frame_report(geodesic_measure(plan, float(t))) for t in ts]
     return GeodesicProfile(
         ts=ts,
         lower_bounds=np.array([r.lower_bound for r in reports]),

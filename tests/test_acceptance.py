@@ -176,7 +176,7 @@ def test_07_constant_speed_geodesics():
             solution = wasserstein2(mu, nu)
             base = math.sqrt(solution.distance_squared)
             for t in (0.25, 0.5, 0.75):
-                mu_t = geodesic_measure(mu, nu, solution.plan, t)
+                mu_t = geodesic_measure(solution.plan, t)
                 left = math.sqrt(wasserstein2(mu, mu_t).distance_squared)
                 assert abs(left - t * base) <= 1e-6
 

@@ -11,7 +11,6 @@ import pframes.duality
 from helpers import MERCEDES_BENZ, random_frame_measure, remark_instance, with_row_residual
 from pframes import canonical_dual
 from pframes.cli import main
-from pframes.duality import plan_arrays_from_payload
 from pframes.measures import DiscreteMeasure, measure_from_payload, measure_to_payload
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -91,7 +90,8 @@ def test_transport_dual_remark_pair(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "dual"
-    coupling, rows, cols = plan_arrays_from_payload(payload)
+    coupling = np.array(payload["coupling"])
+    rows, cols = np.array(payload["row_weights"]), np.array(payload["col_weights"])
     assert coupling.shape == (3, 2)
     assert np.abs(coupling.sum(axis=1) - rows).max() <= 1e-8
     assert np.abs(coupling.sum(axis=0) - cols).max() <= 1e-8
@@ -165,6 +165,7 @@ def test_monotone_canonical_dual_pairs(tmp_path, capsys):
     assert payload["witness"] is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200], ids=["nan", "inf", "overflow"])
 def test_monotone_non_finite_pairs_exit_two(tmp_path, capsys, bad):
     points = [[1.0, 0.0], [0.0, 1.0], [bad, 0.0]]

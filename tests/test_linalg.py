@@ -8,41 +8,38 @@ from pframes import linalg
 
 
 def test_sym_eig_identity():
-    spec = linalg.sym_eig(np.eye(3))
-    assert np.allclose(spec.eigenvalues.real, [1.0, 1.0, 1.0])
-    assert np.allclose(spec.eigenvalues.imag, 0.0)
+    vals = linalg.sym_eig(np.eye(3))
+    assert vals.dtype == np.float64 and vals.shape == (3,)
+    assert np.allclose(vals, [1.0, 1.0, 1.0])
 
 
 def test_sym_eig_diagonal_sorted_ascending():
-    spec = linalg.sym_eig(np.diag([4.0, 1.0]))
-    assert np.allclose(spec.eigenvalues.real, [1.0, 4.0])
+    assert np.allclose(linalg.sym_eig(np.diag([4.0, 1.0])), [1.0, 4.0])
 
 
 def test_sym_eig_uniform_basis_frame_operator():
     # S for the uniform measure on {e1, e2} with weights 1/2 each, summed by hand.
     s = 0.5 * np.outer([1, 0], [1, 0]) + 0.5 * np.outer([0, 1], [0, 1])
-    spec = linalg.sym_eig(s)
-    assert np.allclose(spec.eigenvalues.real, [0.5, 0.5])
+    assert np.allclose(linalg.sym_eig(s), [0.5, 0.5])
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_sym_eig_reconstruction_and_orthonormality(seed):
+    # The spectrum of q diag(lam) q^T for an orthogonal q is lam, ascending.
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(6, 6))
-    m = a + a.T
-    spec = linalg.sym_eig(m)
-    q = spec.eigenvectors
-    lam = np.diag(spec.eigenvalues.real)
-    assert np.linalg.norm(q @ lam @ q.T - m) <= 1e-9 * np.linalg.norm(m)
-    assert np.abs(q.T @ q - np.eye(6)).max() <= 1e-10
+    lam = rng.normal(size=6)
+    q = random_orthogonal(rng, 6)
+    m = q @ np.diag(lam) @ q.T
+    vals = linalg.sym_eig(m)
+    assert np.abs(vals - np.sort(lam)).max() <= 1e-12 * np.abs(lam).max() * 6
 
 
 def test_sym_eig_rayleigh_sandwich():
     rng = np.random.default_rng(42)
     a = rng.normal(size=(5, 5))
     m = a + a.T
-    spec = linalg.sym_eig(m)
-    lo, hi = spec.eigenvalues.real[0], spec.eigenvalues.real[-1]
+    vals = linalg.sym_eig(m)
+    lo, hi = vals[0], vals[-1]
     for _ in range(100):
         v = rng.normal(size=5)
         quotient = (v @ m @ v) / (v @ v)
@@ -58,52 +55,64 @@ def test_sym_eig_rejects_bad_input():
         linalg.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
 def test_real_eigenvalues_rotation_is_pure_imaginary():
-    spec = linalg.real_eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert np.allclose(sorted(spec.eigenvalues.imag), [-1.0, 1.0])
-    assert np.allclose(spec.eigenvalues.real, 0.0)
+    # A quarter turn has eigenvalues +-i, off the real axis; a half turn is -I.
+    assert not linalg.has_negative_real_eigenvalue(rotation(np.pi / 2))
+    assert not linalg.has_negative_real_eigenvalue(rotation(3.0))
+    assert linalg.has_negative_real_eigenvalue(rotation(np.pi))
 
 
 def test_real_eigenvalues_diagonal():
-    spec = linalg.real_eigenvalues(np.diag([2.0, -3.0]))
-    assert np.allclose(spec.eigenvalues.real, [-3.0, 2.0])
+    assert linalg.has_negative_real_eigenvalue(np.diag([2.0, -3.0]))
+    assert not linalg.has_negative_real_eigenvalue(np.diag([2.0, 3.0]))
+    # Within the margin 1e-9 (1 + norm_F) of zero: not negative.
+    assert not linalg.has_negative_real_eigenvalue(np.diag([2.0, -1e-12]))
 
 
 def test_real_eigenvalues_canonical_dual_product():
     # For Psi a frame and Phi its canonical dual, pinv(Psi) @ Phi = (Psi^T Psi)^{-1},
-    # so the general eigensolver must reproduce the symmetric spectrum.
+    # which is positive definite: the segment test of the geodesics module
+    # passes, and fails on the negated product.
     rng = np.random.default_rng(3)
     psi = rng.normal(size=(6, 3))
     gram_inv = np.linalg.inv(psi.T @ psi)
     phi = psi @ gram_inv
     product = linalg.pinv(psi) @ phi
-    general = np.sort(linalg.real_eigenvalues(product).eigenvalues.real)
-    symmetric = np.sort(linalg.sym_eig(gram_inv).eigenvalues.real)
-    assert np.abs(linalg.real_eigenvalues(product).eigenvalues.imag).max() <= 1e-10
-    assert np.allclose(general, symmetric, atol=1e-8)
-    assert general.min() > 0.0
+    assert linalg.sym_eig(gram_inv)[0] > 0.0
+    assert not linalg.has_negative_real_eigenvalue(product)
+    assert linalg.has_negative_real_eigenvalue(-product)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_real_eigenvalues_det_trace_identities(seed):
+    # Complex eigenvalues come in conjugate pairs of positive product, so a
+    # negative determinant forces a negative real eigenvalue; in odd
+    # dimension m or -m has one.
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(5, 5))
-    vals = linalg.real_eigenvalues(m).eigenvalues
-    det = np.linalg.det(m)
-    assert abs(det - np.prod(vals).real) <= 1e-8 * (1.0 + abs(det))
-    assert abs(np.prod(vals).imag) <= 1e-8 * (1.0 + abs(det))
-    trace = np.trace(m)
-    assert abs(trace - vals.sum().real) <= 1e-8 * (1.0 + abs(trace))
+    if np.linalg.det(m) < 0.0:
+        assert linalg.has_negative_real_eigenvalue(m)
+    else:
+        assert linalg.has_negative_real_eigenvalue(-m)
+    # On a symmetric matrix the spectrum sums to the trace, multiplies to the determinant.
+    s = m + m.T
+    vals = linalg.sym_eig(s)
+    det, trace = np.linalg.det(s), np.trace(s)
+    assert abs(det - np.prod(vals)) <= 1e-8 * (1.0 + abs(det))
+    assert abs(trace - vals.sum()) <= 1e-8 * (1.0 + abs(trace))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_real_eigenvalues_matches_sym_eig_on_symmetric(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(4, 4))
-    m = a + a.T
-    general = np.sort(linalg.real_eigenvalues(m).eigenvalues.real)
-    symmetric = np.sort(linalg.sym_eig(m).eigenvalues.real)
-    assert np.allclose(general, symmetric, atol=1e-8)
+    for m in (a + a.T, a @ a.T + np.eye(4)):
+        assert linalg.has_negative_real_eigenvalue(m) == (linalg.sym_eig(m)[0] < 0.0)
 
 
 def test_pinv_identity_and_zero():
@@ -186,7 +195,6 @@ def test_sym_eig_bounds_property(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
     m = a @ a.T  # PSD
-    spec = linalg.sym_eig(m)
-    vals = spec.eigenvalues.real
+    vals = linalg.sym_eig(m)
     assert np.all(np.diff(vals) >= -1e-12)
     assert vals[0] >= -1e-10 * max(1.0, vals[-1])

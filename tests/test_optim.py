@@ -287,16 +287,25 @@ def test_dimension_validation():
 
 
 def test_sparse_constraint_matrix_is_checked_and_solved_alike():
-    from scipy.sparse import csc_array, csr_array
-
+    infinite = pframes.optim._dense_csc(np.array([[1.0, np.inf]]))
     with pytest.raises(ValueError, match="nonempty and finite"):
-        solve_lp(csc_array(np.array([[1.0, np.inf]])), np.ones(1))
+        solve_lp(infinite, np.ones(1))
+    empty = pframes.optim.Csc((0, 2), np.zeros(3, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     with pytest.raises(ValueError, match="nonempty and finite"):
-        solve_lp(csr_array((0, 2)), np.ones(0))
+        solve_lp(empty, np.ones(0))
     kmat, rhs = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.5])
     dense = solve_lp(kmat, rhs, np.array([1.0, 2.0]))
-    sparse = solve_lp(csr_array(kmat), rhs, np.array([1.0, 2.0]))
+    sparse = solve_lp(pframes.optim._dense_csc(kmat), rhs, np.array([1.0, 2.0]))
     assert np.array_equal(dense.solution, sparse.solution)
+
+
+def test_scipy_sparse_constraint_matrix_is_rejected():
+    from scipy.sparse import csr_array, csr_matrix
+
+    kmat = np.array([[1.0, 1.0], [1.0, -1.0]])
+    for form in (csr_array, csr_matrix):
+        with pytest.raises((ValueError, TypeError)):
+            solve_lp(form(kmat), np.array([1.0, 0.5]))
 
 
 @pytest.mark.parametrize(
@@ -304,18 +313,16 @@ def test_sparse_constraint_matrix_is_checked_and_solved_alike():
     [([1.0, 0.5, 2.0], None), ([1.0, 0.5, -2.0], None), ([1.0, 0.5, 2.0], [1.0, 2.0, 0.5])],
     ids=["feasible", "infeasible", "objective"],
 )
-def test_dense_csr_and_csc_systems_give_one_outcome(rhs, objective):
-    from scipy.sparse import csc_matrix, csr_matrix
-
-    # A zero entry, which the sparse forms do not store.
+def test_dense_and_csc_systems_give_one_outcome(rhs, objective):
+    # A zero entry, which the Csc form does not store.
     kmat = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 2.0], [0.0, 3.0, 1.0]])
-    outcomes = [solve_lp(form(kmat), np.array(rhs), objective) for form in (np.array, csr_matrix, csc_matrix)]
-    assert outcomes[0].status == ("infeasible" if rhs[2] < 0 else "feasible")
-    for out in outcomes[1:]:
-        assert out.status == outcomes[0].status
-        for field in ("solution", "dual_certificate", "row_duals"):
-            got, want = getattr(out, field), getattr(outcomes[0], field)
-            assert (got is None and want is None) or np.array_equal(got, want)
+    forms = (np.array, pframes.optim._dense_csc)
+    outcomes = [solve_lp(form(kmat), np.array(rhs), objective) for form in forms]
+    assert outcomes[1].status == ("infeasible" if rhs[2] < 0 else "feasible")
+    assert outcomes[0].status == outcomes[1].status
+    for field in ("solution", "dual_certificate", "row_duals"):
+        got, want = getattr(outcomes[0], field), getattr(outcomes[1], field)
+        assert (got is None and want is None) or np.array_equal(got, want)
 
 
 def test_best_transposition_is_the_largest_gain_first_in_row_order():

@@ -357,6 +357,7 @@ def test_monotone_validations():
         is_cyclically_monotone([(np.ones(2), np.ones(3))])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
 def test_monotone_rejects_non_finite_gains(bad):
     # 1e200 squared overflows to inf in the gains.
