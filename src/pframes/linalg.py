@@ -23,7 +23,10 @@ SYMMETRY_RTOL = 1e-12
 
 def as_matrix(m, name: str = "matrix") -> Array:
     """Coerce to a 2-d float array, rejecting empty or non-finite input."""
-    a = np.asarray(m, dtype=float)
+    try:
+        a = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must be a numeric 2-d array, got {type(m).__name__}") from err
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"{name} must be a nonempty 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -29,12 +29,11 @@ permutation of a square cost by Bellman-Ford on its difference constraints,
 and ``certify_potentials`` checks that potentials prove a coupling optimal:
 dual feasibility and a zero primal-dual gap, both to ``OPTIMALITY_RTOL``.
 
-``best_transposition`` and ``identity_bound`` decide, without an assignment
-solve, how far the identity of a square cost is from optimal: the most
-improving transposition from one ``O(n^2)`` test, and the identity's
-Kantorovich potentials with the weak-duality bound they give.
-``identity_potentials`` holds the rule by which the identity coupling of two
-equal-weight measures is accepted from them.
+``identity_potentials`` decides, without an assignment solve, whether the
+identity coupling of two equal-weight measures is optimal: a transposition
+that improves it, from ``best_transposition``'s one ``O(n^2)`` test, rejects
+it; otherwise it is accepted when its own Kantorovich potentials leave no
+reduced cost below ``-tol / n``.
 
 ``hungarian`` returns an optimal permutation with the potentials that
 certify it.  It accepts the identity by ``identity_potentials`` first;
@@ -343,28 +342,17 @@ def best_transposition(cost: Array) -> tuple[int, int, float]:
     return i, j, float(gain.flat[best])
 
 
-def identity_bound(cost: Array) -> tuple[tuple[Array, Array], float]:
-    """The identity assignment's potentials ``kantorovich_potentials(cost,
-    arange(n))`` and the weak-duality bound they give on ``trace c`` minus the
-    optimal assignment cost of a square ``cost``: ``n max(0, -min slack) +
-    |gap|`` with ``gap = trace c - sum(u + v)``.
-    """
-    n = cost.shape[0]
-    u, v = kantorovich_potentials(cost, np.arange(n))
-    slack = float((cost - u[:, None] - v[None, :]).min())
-    gap = float(cost.trace()) - float(u.sum() + v.sum())
-    return (u, v), n * max(0.0, -slack) + abs(gap)
-
-
 def identity_potentials(cost: Array, weights: Array) -> tuple[Array, Array] | None:
     """Potentials for the diagonal coupling of two measures with the same
     ``weights`` atom by atom, when its identity is accepted as optimal;
     otherwise ``None``.
 
-    The identity is accepted when ``identity_bound`` is at most ``tol =
-    ASSIGNMENT_RTOL (1 + |value|) / n`` (``value = weights . diag c``); a
-    transposition gaining more than ``tol`` rejects it first, without
-    potentials (neighbours ``(i, i + 1)`` tested before the rest).  For
+    With ``tol = ASSIGNMENT_RTOL (1 + |value|) / n`` (``value = weights .
+    diag c``), a transposition gaining more than ``tol`` rejects the identity
+    without potentials (neighbours ``(i, i + 1)`` tested before the rest).
+    Otherwise the identity is accepted when its potentials
+    ``kantorovich_potentials(cost, arange(n))``, which satisfy ``u_i + v_i =
+    c_ii`` by construction, leave no reduced cost below ``-tol / n``.  For
     uniform weights ``tol`` is within the tight-edge threshold ``ASSIGNMENT_RTOL
     (1 + |best|) / n`` of ``hungarian``'s solver route (``|value| = |trace| /
     n`` is at most ``|best| + tol``), so every diagonal edge would be tight
@@ -379,8 +367,8 @@ def identity_potentials(cost: Array, weights: Array) -> tuple[Array, Array] | No
     adjacent = diag[:-1] + diag[1:] - cost.diagonal(1) - cost.diagonal(-1)
     if float(adjacent.max(initial=0.0)) > tol or best_transposition(cost)[2] > tol:
         return None
-    potentials, bound = identity_bound(cost)
-    return potentials if bound <= tol else None
+    u, v = kantorovich_potentials(cost, np.arange(n))
+    return (u, v) if float((cost - u[:, None] - v[None, :]).min()) >= -tol / n else None
 
 
 def certify_potentials(

@@ -40,6 +40,7 @@ Array = np.ndarray
 
 DEFAULT_SAMPLES = 200_000
 ADAPT_TOL = 1e-3
+# Mass evaluations per adaptation, on both levels together.
 MAX_ITER = 10_000
 # Step schedule scale*damp/(damp + k): harmonic decay from a travel-scale
 # first step; the dual is concave, so no line search is needed at this scale.
@@ -200,12 +201,6 @@ def _nearest_two(sites: Array, weights: Array, points: Array) -> tuple[Array, Ar
     return best, second, gap
 
 
-def voronoi_map(diagram: PowerDiagram, x) -> int:
-    """Site index of the power cell containing ``x``."""
-    point = np.asarray(x, dtype=float).reshape(1, -1)
-    return int(assign_cells(diagram.sites, diagram.weights, point)[0])
-
-
 @dataclass(frozen=True)
 class SemiDiscreteCoupling:
     """Adapted power diagram plus the sample set realizing its masses.
@@ -230,14 +225,6 @@ class FunctionSamples:
 
     values: Array
     samples: Array
-
-
-def dual_objective(sites: Array, weights: Array, targets: Array, points: Array) -> float:
-    """Monte Carlo estimate of the semi-discrete dual ``F(w)`` on ``points``."""
-    total = 0.0
-    for part, block in _power_scores(sites, weights, points):
-        total += float((block.min(axis=0) + (points[part] ** 2).sum(axis=1)).sum())
-    return float(targets @ weights + total / points.shape[0])
 
 
 def _validate_adapt_inputs(sites, target_weights, reference):
@@ -417,7 +404,6 @@ def adapt_weights(
     *,
     seed: int = 0,
     adapt_tol: float = ADAPT_TOL,
-    max_iter: int = MAX_ITER,
 ) -> SemiDiscreteCoupling:
     """Find power weights whose cell masses match the target weights.
 
@@ -433,25 +419,23 @@ def adapt_weights(
     non-finite, or no step down to ``MIN_NEWTON_STEP`` is accepted, averaged
     harmonic gradient ascent on the dual continues from the best full-set
     point.  Terminates as soon as the max cell-mass error on the full set is
-    at most ``adapt_tol``.  ``max_iter`` bounds the number of mass
-    evaluations on both levels together, Newton's trial steps included, and
-    keeps at least one for the full set; on non-convergence a
+    at most ``adapt_tol``.  ``MAX_ITER``, read at call time, bounds the
+    number of mass evaluations on both levels together, Newton's trial steps
+    included, and keeps at least one for the full set; on non-convergence a
     ``NumericError`` is raised carrying the best weights seen on the full
     set (``best_weights``/``best_masses`` attributes).
     """
     sites, targets = _validate_adapt_inputs(sites, target_weights, reference)
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     rng = np.random.default_rng(seed)
     samples = reference.sample(rng, sample_count)
     start = np.zeros(sites.shape[0])
-    budget = max_iter
+    budget = MAX_ITER
     coarse_count = sample_count // COARSE_FACTOR
     if coarse_count >= COARSE_MIN_SAMPLES:
         # One evaluation is kept back: every result is measured on the full set.
-        coarse = _MassFit(sites, targets, samples[:coarse_count], max_iter - 1)
+        coarse = _MassFit(sites, targets, samples[:coarse_count], budget - 1)
         found = _newton(coarse, adapt_tol, start)
         if found is not None:
             start = found[0]
@@ -471,7 +455,7 @@ def adapt_weights(
             site_map=sites,
         )
     error = NumericError(
-        f"weight adaptation did not reach tolerance {adapt_tol} in {max_iter} "
+        f"weight adaptation did not reach tolerance {adapt_tol} in {MAX_ITER} "
         f"mass evaluations (best max error {fit.best_err:.3e})"
     )
     error.best_weights = fit.best_weights
@@ -541,14 +525,6 @@ def reconstruct(
 ) -> Array:
     """Synthesis applied to the analysis coefficients of ``x``."""
     return synthesis(analysis(x, analysis_coupling), synthesis_coupling)
-
-
-def cell_barycenters(coupling: SemiDiscreteCoupling) -> Array:
-    """Per-cell mass-weighted sample means ``(1/S) sum_{s in cell} x_s``."""
-    n = coupling.diagram.sites.shape[0]
-    out = np.zeros((n, coupling.samples.shape[1]))
-    np.add.at(out, coupling.sample_cells, coupling.samples)
-    return out / coupling.sample_count
 
 
 def cross_moment(coupling: SemiDiscreteCoupling, points: Array | None = None) -> Array:

@@ -10,8 +10,8 @@ often are optimally: a frame and its canonical dual pair by ``x -> S^{-1}
 x``, the gradient of the convex ``x^T S^{-1} x / 2``, so the pairing is
 cyclically monotone (Rockafellar 1966) and the diagonal coupling optimal.
 ``optim.identity_potentials`` accepts it when no transposition improves it
-and its Kantorovich potentials bound its distance from the optimal
-assignment to round-off; ``optim.hungarian`` applies that rule before its
+and its Kantorovich potentials leave no reduced cost below ``-tol / n``
+(``ASSIGNMENT_RTOL``); ``optim.hungarian`` applies that rule before its
 solve, so uniform pairs and ``is_cyclically_monotone`` (after its own
 transposition witness) get it from there.  Every plan is certified, not
 re-solved: its Kantorovich potentials must be dual feasible and close the

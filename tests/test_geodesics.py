@@ -323,7 +323,7 @@ def test_paired_profile_makes_no_assignment_and_no_lp(monkeypatch, uniform):
     solves = counting(monkeypatch, pframes.optim, "linear_sum_assignment")
     lps = counting(monkeypatch, pframes.transport, "solve_lp")
     # The plan is still certified once, by the identity's potentials from
-    # optim.identity_bound.
+    # optim.identity_potentials.
     certified = bellman_ford_calls(monkeypatch)
     mu = random_frame_measure(np.random.default_rng(22), 3, 8, uniform=uniform)
     profile = geodesic_profile(mu, canonical_dual(mu))

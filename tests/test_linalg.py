@@ -55,6 +55,14 @@ def test_sym_eig_rejects_bad_input():
         linalg.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "bad", [[[1.0, 2.0], [3.0]], [["a", "b"]], {"rows": 2}], ids=["ragged", "text", "dict"]
+)
+def test_as_matrix_names_a_non_numeric_argument(bad):
+    with pytest.raises(ValueError, match=f"cost must be a numeric 2-d array, got {type(bad).__name__}"):
+        linalg.as_matrix(bad, "cost")
+
+
 def rotation(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
