@@ -37,6 +37,7 @@ def assignment_cost(kind, n):
     "kind, n",
     [
         ("random", 50),
+        ("random", 100),
         ("random", 150),
         ("grid", 50),
         ("grid", 100),

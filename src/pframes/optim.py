@@ -42,6 +42,10 @@ otherwise it makes one ``linear_sum_assignment`` solve (Crouse, IEEE TAES
 the lexicographically smallest permutation on edges whose reduced cost is at
 most ``tol / n`` (``tol = ASSIGNMENT_RTOL (1 + |best|)``); it fixes rows in
 order, rerouting the rows below along one alternating path of such edges.
+That tie-break runs on Python integers used as bitsets, one per row and one
+per column of the tight edges, packed once: each row's candidates are one
+mask, and its search backwards through the rows below goes level by level,
+each level a mask of columns, with no numpy call per row.
 
 The only scipy code this module runs is two compiled modules,
 ``scipy.optimize._highspy._core`` (HiGHS) and ``scipy.optimize._lsap``
@@ -397,6 +401,14 @@ def linear_sum_assignment(cost: Array) -> tuple[Array, Array]:
     return _scipy_extension("_lsap").linear_sum_assignment(cost)
 
 
+def _bitsets(mask: Array) -> list[int]:
+    """Each row of a boolean matrix as one Python int, bit ``j`` set when
+    column ``j`` is."""
+    packed = np.packbits(np.ascontiguousarray(mask), axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width)]
+
+
 def hungarian(cost) -> tuple[Array, tuple[Array, Array]]:
     """Minimum-cost assignment for a square cost matrix, with its certificate.
 
@@ -417,7 +429,14 @@ def hungarian(cost) -> tuple[Array, tuple[Array, Array]]:
     most ``best + tol`` (re-checked).  Row ``i`` moves from its column ``t``
     to the smallest tight ``j < t`` whose row below ``i`` reaches ``t`` by an
     alternating path through the rows below (Berge: exactly then they still
-    match), found by breadth-first search backwards from ``t``.
+    match).  Rows and columns of the tight edges are Python-int bitsets.  The
+    search goes backwards from ``t`` in levels, each the mask of the columns
+    held by the rows first reached from the level before, and stops once the
+    smallest candidate's row is reached or no new row is; then the smallest
+    candidate reached wins, and each row on its path moves to its lowest
+    tight column in the level before its own.  The lexicographically
+    smallest permutation on tight edges is unique, so the path taken does
+    not change the result.
     """
     c = as_matrix(cost, "cost")
     if c.shape[0] != c.shape[1]:
@@ -432,28 +451,54 @@ def hungarian(cost) -> tuple[Array, tuple[Array, Array]]:
     u, v = kantorovich_potentials(c, perm)
     tight = c - u[:, None] - v[None, :] <= tol / n
 
-    owner = np.argsort(perm)
+    # Rows of ``tight`` and of its transpose as bitsets: bit j of rowbits[i]
+    # is tight[i, j], bit i of colbits[j] is tight[i, j].
+    rowbits, colbits = _bitsets(tight), _bitsets(tight.T)
+    owner, perm = np.argsort(perm).tolist(), perm.tolist()
+    fixed = 0  # the columns of the rows above i
     for i in range(n - 1):
         t = perm[i]
-        cand = np.flatnonzero(tight[i, :t] & (owner[:t] > i))
-        if cand.size == 0:
-            continue
-        via = np.full(n, -1)
-        reached = np.arange(n) <= i
-        frontier = np.array([t])
-        while frontier.size and not reached[owner[cand[0]]]:
-            hits = tight[:, frontier] & ~reached[:, None]
-            joined = np.flatnonzero(hits.any(axis=1))
-            via[joined] = frontier[hits[joined].argmax(axis=1)]
-            reached[joined] = True
-            frontier = perm[joined]
-        ok = cand[reached[owner[cand]]]
-        if ok.size == 0:
-            continue
-        j = ok[0]
-        r, perm[i], owner[j] = owner[j], j, i
-        while r != i:
-            perm[r], owner[via[r]], r = via[r], r, owner[via[r]]
+        cand = rowbits[i] & ((1 << t) - 1) & ~fixed
+        if cand:
+            # levels[k]: the columns of the rows first reached k steps back
+            # from t.  Once the smallest candidate's row is reached, its column
+            # alone stands for the last level and the search stops.
+            first = cand & -cand
+            target = owner[first.bit_length() - 1]
+            levels, seen, reached = [1 << t], 1 << t, (2 << i) - 1
+            hit = colbits[t]
+            while not seen & first:
+                hit &= ~reached
+                if not hit:
+                    break
+                reached |= hit
+                if hit >> target & 1:
+                    cols = first
+                else:
+                    # The columns of the rows hit, and the rows tight on them.
+                    cols = nxt = 0
+                    while hit:
+                        low = hit & -hit
+                        col = perm[low.bit_length() - 1]
+                        cols |= 1 << col
+                        nxt |= colbits[col]
+                        hit ^= low
+                    hit = nxt
+                levels.append(cols)
+                seen |= cols
+            ok = cand & seen
+            if ok:
+                # Row i takes j; each row on the way back moves one level
+                # nearer t, to its lowest tight column there.
+                j = (ok & -ok).bit_length() - 1
+                depth = next(k for k, cols in enumerate(levels) if cols >> j & 1)
+                r, perm[i], owner[j] = owner[j], j, i
+                for cols in reversed(levels[:depth]):
+                    free = rowbits[r] & cols
+                    col = (free & -free).bit_length() - 1
+                    perm[r], owner[col], r = col, r, owner[col]
+        fixed |= 1 << perm[i]
+    perm = np.array(perm)
     if float(c[rows, perm].sum()) > best + tol:
         raise NumericError("lexicographic assignment left the optimal cost")
     return perm, (u, v)

@@ -537,19 +537,50 @@ def test_hungarian_matches_refinement_on_tie_heavy_costs(cost):
     assert np.array_equal(hungarian(cost)[0], refined_assignment(cost))
 
 
+def solve_from(monkeypatch, perm, edges=()):
+    """A cost of ones with zeros on ``perm`` and on ``edges``, whose solve is
+    patched to return ``perm`` and whose identity is never accepted: the
+    tie-break starts from ``perm``, and the zeros are its tight edges."""
+    n = len(perm)
+    cost = np.ones((n, n))
+    cost[np.arange(n), perm] = 0.0
+    for i, j in edges:
+        cost[i, j] = 0.0
+    monkeypatch.setattr(pframes.optim, "identity_potentials", lambda cost, weights: None)
+    monkeypatch.setattr(pframes.optim, "linear_sum_assignment", lambda c: (np.arange(n), np.array(perm)))
+    return cost
+
+
 def test_hungarian_reroutes_along_a_long_alternating_path(monkeypatch):
     # Zero-cost edges form one cycle: the identity and the cyclic shift are
     # the only optimal permutations.  Starting from the shift, row 0 takes
     # column 0 only if rows 4, 3, 2 and 1 all move back one column.
     n = 5
-    cost = np.ones((n, n))
-    shift = np.roll(np.arange(n), -1)
-    cost[np.arange(n), np.arange(n)] = 0.0
-    cost[np.arange(n), shift] = 0.0
-    # The identity is optimal here, so its potentials are set aside to reach
-    # the solver route.
-    monkeypatch.setattr(pframes.optim, "identity_potentials", lambda cost, weights: None)
-    monkeypatch.setattr(pframes.optim, "linear_sum_assignment", lambda c: (np.arange(n), shift.copy()))
+    cost = solve_from(monkeypatch, np.roll(np.arange(n), -1), [(i, i) for i in range(n)])
+    assert np.array_equal(hungarian(cost)[0], np.arange(n))
+
+
+def test_hungarian_takes_a_larger_candidate_when_the_smallest_is_cut_off(monkeypatch):
+    # Row 0 holds column 4 and is tight on columns 0 and 1.  Row 4 holds
+    # column 0 and nothing else, so column 0 is out of reach; column 1's row
+    # reaches column 4 three levels back (1 -> 3 -> 2 -> 4).
+    cost = solve_from(monkeypatch, [4, 1, 2, 3, 0], [(0, 0), (0, 1), (1, 3), (3, 2), (2, 4)])
+    assert np.array_equal(hungarian(cost)[0], [1, 3, 4, 2, 0])
+
+
+def test_hungarian_keeps_a_column_when_no_candidate_is_reached(monkeypatch):
+    # Row 0's one candidate, column 0, is held by row 3, tight there only;
+    # the search from column 3 reaches row 2 and stops there.
+    cost = solve_from(monkeypatch, [3, 1, 2, 0], [(0, 0), (2, 3)])
+    assert np.array_equal(hungarian(cost)[0], [3, 1, 2, 0])
+
+
+def test_hungarian_breaks_ties_past_one_machine_word(monkeypatch):
+    # Rows and columns 64-69 tie among themselves; the solve returns them
+    # reversed, and the identity is the smallest permutation.
+    n = 70
+    block = [(i, j) for i in range(64, n) for j in range(64, n)]
+    cost = solve_from(monkeypatch, list(range(64)) + list(range(n - 1, 63, -1)), block)
     assert np.array_equal(hungarian(cost)[0], np.arange(n))
 
 
