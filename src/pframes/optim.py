@@ -404,6 +404,7 @@ def linear_sum_assignment(cost: Array) -> tuple[Array, Array]:
 def _bitsets(mask: Array) -> list[int]:
     """Each row of a boolean matrix as one Python int, bit ``j`` set when
     column ``j`` is."""
+    # packbits reads a transposed view several times slower than a copy.
     packed = np.packbits(np.ascontiguousarray(mask), axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width)]
