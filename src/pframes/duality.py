@@ -36,15 +36,13 @@ from .measures import (
     merge_duplicate_atoms,
     weights_equal,
 )
-from .optim import HIGHS_TIGHT_TOL, marginal_rows, solve_lp
+from .optim import FEASIBILITY_TOL, HIGHS_TIGHT_TOL, marginal_rows, solve_lp
 
 Array = np.ndarray
 
-PLAN_TOL = 1e-8
 # The duality product amplifies coupling error by ||Phi|| * ||Psi||, so the
 # identity check runs looser than LP feasibility.
 PRODUCT_TOL = 1e-7
-CERTIFICATE_TOL = 1e-8
 # A constructed dual's cross moment must match the identity to this.
 DUAL_IDENTITY_TOL = 1e-8
 
@@ -54,7 +52,7 @@ class TransportPlan:
     """Nonnegative coupling between two discrete measures.
 
     Row sums must match the row measure's weights and column sums the column
-    measure's weights, both to ``PLAN_TOL``; entries below
+    measure's weights, both to ``FEASIBILITY_TOL``; entries below
     ``-HIGHS_TIGHT_TOL``, the round-off ``solve_lp`` reads as zero, reject
     the plan.
     """
@@ -72,11 +70,11 @@ class TransportPlan:
             raise ValueError("coupling contains non-finite entries")
         if float(a.min()) < -HIGHS_TIGHT_TOL:
             raise ValueError("coupling has negative entries")
-        if float(np.abs(a.sum(axis=1) - self.row_measure.weights).max()) > PLAN_TOL:
+        if float(np.abs(a.sum(axis=1) - self.row_measure.weights).max()) > FEASIBILITY_TOL:
             raise ValueError("coupling row sums do not match row measure weights")
-        if float(np.abs(a.sum(axis=0) - self.col_measure.weights).max()) > PLAN_TOL:
+        if float(np.abs(a.sum(axis=0) - self.col_measure.weights).max()) > FEASIBILITY_TOL:
             raise ValueError("coupling column sums do not match column measure weights")
-        if abs(float(a.sum()) - 1.0) > PLAN_TOL:
+        if abs(float(a.sum()) - 1.0) > FEASIBILITY_TOL:
             raise ValueError("coupling total mass differs from 1")
         a = np.array(a)
         a.flags.writeable = False
@@ -87,9 +85,8 @@ class TransportPlan:
         """Wrap a coupling made by a solver.
 
         A guard: ``solve_lp`` accepts a residual only up to
-        ``FEASIBILITY_TOL``, no looser than ``PLAN_TOL`` on each marginal; a
-        solver point that still fails the plan checks is a numeric failure,
-        not an input error.
+        ``FEASIBILITY_TOL``, the tolerance of the plan checks; a solver
+        point that still fails them is a numeric failure, not an input error.
         """
         try:
             return cls(row_measure, col_measure, coupling)
@@ -115,7 +112,7 @@ class FarkasCertificate:
 def certificate_is_valid(cert: FarkasCertificate, mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     pairings = mu.atoms @ cert.B @ nu.atoms.T + cert.u[:, None] + cert.v[None, :]
     combined = float(np.trace(cert.B) + cert.u @ mu.weights + cert.v @ nu.weights)
-    return bool(pairings.min() >= -CERTIFICATE_TOL and combined <= -CERTIFICATE_TOL)
+    return bool(pairings.min() >= -FEASIBILITY_TOL and combined <= -FEASIBILITY_TOL)
 
 
 def cross_moment_matrix(plan: TransportPlan) -> Array:

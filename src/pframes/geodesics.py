@@ -263,7 +263,7 @@ def coherence_identity_test(phi: Array, psi: Array) -> bool:
     z = psi - sinv_phi
     gram = phi @ sinv_phi.T  # gram[i, j] = <phi_i, S^{-1} phi_j>
     separations = gram.diagonal()[:, None] - gram
-    a = float(separations[~np.eye(n, dtype=bool)].min())
+    a = float(separations[~np.eye(n, dtype=bool)].min(initial=np.inf))
     holds = bool(float(np.linalg.norm(z, axis=1).max()) <= a / n)
     if holds and not np.array_equal(optimal_permutation(phi, psi), np.arange(n)):
         raise NumericError("coherence condition held but identity was not optimal")
@@ -300,9 +300,8 @@ def gaussian_optimal_map(g0: GaussianMeasure, g1: GaussianMeasure) -> Array:
     ``A = S0^{-1/2} (S0^{1/2} S1 S0^{1/2})^{1/2} S0^{-1/2}``."""
     root0, middle = _gaussian_pair(g0, g1)
     for g, name in ((g0, "g0"), (g1, "g1")):
-        w = np.linalg.eigvalsh(g.covariance)
-        if w[0] <= 1e-12 * max(1.0, float(w[-1])):
-            raise ValueError(f"{name} covariance is singular")
+        if not frame_report(g).is_frame:
+            raise NotAFrameError(f"{name} covariance is singular")
     w, q = np.linalg.eigh(root0)
     inv_root0 = q @ np.diag(1.0 / w) @ q.T
     amap = inv_root0 @ middle @ inv_root0

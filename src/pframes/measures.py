@@ -124,11 +124,16 @@ class GaussianMeasure:
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("mean/covariance contain non-finite entries")
         linalg.require_symmetric(cov, "covariance")
-        w = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+        cov = 0.5 * (cov + cov.T)
+        w, q = np.linalg.eigh(cov)
         if w[0] < -pd_threshold(float(w[-1])):
             raise ValueError(f"covariance is not PSD: lambda_min={w[0]:.3e}")
+        if w[0] < 0.0:
+            # Accepted negative eigenvalues are stored as zeros (PSD projection).
+            cov = (q * np.maximum(w, 0.0)) @ q.T
+            cov = 0.5 * (cov + cov.T)
         object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "covariance", _readonly(0.5 * (cov + cov.T)))
+        object.__setattr__(self, "covariance", _readonly(cov))
 
     @property
     def dim(self) -> int:

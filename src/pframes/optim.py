@@ -18,8 +18,8 @@ With an objective it solves the LP itself, returns its row duals with the
 point, and any status but optimal is a ``NumericError``: W2, the one such
 caller, solves over a transportation polytope, never empty and with its cost
 bounded, and certifies its plan by those duals.  A solution's nonnegativity
-and residual are re-checked here, the residual against ``FEASIBILITY_TOL``
-itself, so no point off a weight row by more than ``PLAN_TOL`` is accepted.
+and residual are re-checked here, the residual against ``FEASIBILITY_TOL``,
+the one tolerance of a coupling's marginals in ``duality.TransportPlan``.
 The certificate is re-validated before it is returned, never emitted
 unchecked.  The intended scale is couplings up to roughly 50 x 50, and W2 on
 a few hundred atoms.

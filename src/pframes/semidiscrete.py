@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .measures import WEIGHT_SUM_TOL
+from .measures import DiscreteMeasure
 
 Array = np.ndarray
 
@@ -228,24 +228,15 @@ class FunctionSamples:
 
 
 def _validate_adapt_inputs(sites, target_weights, reference):
-    sites = np.asarray(sites, dtype=float)
-    targets = np.asarray(target_weights, dtype=float)
-    if sites.ndim != 2 or sites.shape[0] < 1:
-        raise ValueError(f"sites must be a nonempty (n, d) array, got {sites.shape}")
-    if not np.all(np.isfinite(sites)):
-        raise ValueError("sites contain non-finite entries")
-    if np.unique(sites, axis=0).shape[0] != sites.shape[0]:
-        raise ValueError("sites must be pairwise distinct")
-    if targets.shape != (sites.shape[0],):
-        raise ValueError("target weights must have one entry per site")
-    if np.any(targets <= 0.0) or not np.all(np.isfinite(targets)):
+    """The target as a ``DiscreteMeasure``, plus the rules of adaptation."""
+    target = DiscreteMeasure(atoms=sites, weights=target_weights)
+    if np.any(target.weights <= 0.0):
         raise ValueError("target weights must be positive")
-    total = float(targets.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"target weights must sum to 1 (got {total})")
-    if reference.dim != sites.shape[1]:
+    if np.unique(target.atoms, axis=0).shape[0] != target.count:
+        raise ValueError("sites must be pairwise distinct")
+    if reference.dim != target.dim:
         raise ValueError("reference dimension does not match sites")
-    return sites, targets / total
+    return target.atoms, target.weights
 
 
 class _MassFit:

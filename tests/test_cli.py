@@ -222,6 +222,15 @@ def test_gaussian_w2(tmp_path, capsys):
     assert abs(json.loads(out)["w2_squared"] - 1.0) <= 1e-12
 
 
+def test_gaussian_w2_accepted_negative_eigenvalue(tmp_path, capsys):
+    cov = [[0.01, 0.0], [0.0, -5e-11]]  # accepted: within pd_threshold
+    g0 = write_json(tmp_path / "g0.json", {"mean": [0.0, 0.0], "cov": cov})
+    g1 = write_json(tmp_path / "g1.json", {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]})
+    code, out, _ = run(capsys, ["gaussian-w2", g0, g1])
+    assert code == 0
+    assert abs(json.loads(out)["w2_squared"] - 1.81) <= 1e-12
+
+
 def test_gaussian_path_csv(tmp_path, capsys):
     g0 = write_json(tmp_path / "g0.json", {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]})
     g1 = write_json(tmp_path / "g1.json", {"mean": [0.0, 0.0], "cov": [[4.0, 0.0], [0.0, 1.0]]})

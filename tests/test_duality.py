@@ -15,7 +15,6 @@ import pframes.duality
 import pframes.optim
 from pframes import linalg
 from pframes.duality import (
-    CERTIFICATE_TOL,
     PRODUCT_TOL,
     FarkasCertificate,
     TransportPlan,
@@ -31,6 +30,7 @@ from pframes.duality import (
 )
 from pframes.errors import NotAFrameError, NumericError
 from pframes.measures import DiscreteMeasure, frame_operator, frame_report
+from pframes.optim import FEASIBILITY_TOL
 
 
 def uniform_basis(dim):
@@ -302,8 +302,8 @@ def test_zero_centroid_obstruction_gets_a_certificate(seed, n, dim):
     # The Farkas alternative, evaluated here rather than by the library.
     pairings = mu.atoms @ result.B @ nu.atoms.T + result.u[:, None] + result.v[None, :]
     combined = np.trace(result.B) + result.u @ mu.weights + result.v @ nu.weights
-    assert pairings.min() >= -CERTIFICATE_TOL
-    assert combined <= -CERTIFICATE_TOL
+    assert pairings.min() >= -FEASIBILITY_TOL
+    assert combined <= -FEASIBILITY_TOL
 
 
 # --- paired coupling first, one LP otherwise ----------------------------------
@@ -405,8 +405,8 @@ def test_moment_certificate_agrees_with_the_lp(seed, dim, dirichlet, centred):
     else:
         pairings = mu.atoms @ result.B @ nu.atoms.T + result.u[:, None] + result.v[None, :]
         combined = np.trace(result.B) + result.u @ mu.weights + result.v @ nu.weights
-        assert pairings.min() >= -CERTIFICATE_TOL
-        assert combined <= -CERTIFICATE_TOL
+        assert pairings.min() >= -FEASIBILITY_TOL
+        assert combined <= -FEASIBILITY_TOL
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -520,8 +520,8 @@ def test_transport_plan_validation():
 
 
 def test_lp_coupling_failing_plan_checks_is_a_numeric_error(monkeypatch):
-    # A 1.5e-8 row residual, injected past solve_lp's own check, fails
-    # PLAN_TOL: the solver's point is at fault, not the input.
+    # A 1.5e-8 row residual, injected past solve_lp's own check, fails the
+    # plan's FEASIBILITY_TOL: the solver's point is at fault, not the input.
     monkeypatch.setattr(
         pframes.duality, "solve_lp", with_row_residual(pframes.duality.solve_lp, 1.5e-8)
     )

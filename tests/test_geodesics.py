@@ -570,6 +570,12 @@ def test_coherence_validations():
         coherence_identity_test(phi, phi)  # not a dual
 
 
+def test_coherence_one_atom_frame_holds_vacuously():
+    # No pair of distinct atoms: the separation bound is +inf, and the
+    # identity is the only permutation.
+    assert coherence_identity_test([[1.0]], [[1.0]])
+
+
 # --- Gaussian case -----------------------------------------------------------
 
 
@@ -665,9 +671,25 @@ def test_gaussian_path_names_first_indefinite_t(monkeypatch):
 
 
 def test_gaussian_path_rejects_singular():
-    singular = GaussianMeasure(mean=np.zeros(2), covariance=np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        gaussian_path(singular, zero_mean(np.eye(2)))
+    # lambda_min = 1e-11 is within pd_threshold (1e-10): not a frame either.
+    for cov in (np.diag([1.0, 0.0]), np.diag([1.0, 1e-11])):
+        with pytest.raises(NotAFrameError, match="g0 covariance is singular"):
+            gaussian_path(zero_mean(cov), zero_mean(np.eye(2)))
+
+
+@pytest.mark.parametrize(
+    "s0, s1, want",
+    [
+        (np.diag([0.01, -5e-11]), np.eye(2), 1.81),
+        (np.eye(2), np.diag([0.01, -5e-11]), 1.81),
+        (np.diag([1e-6, 1.0]), np.diag([1.0, -1e-11]), 1.998001),
+    ],
+    ids=["negative-first", "negative-second", "magnified-by-s0"],
+)
+def test_gaussian_w2_accepts_every_covariance_the_type_accepts(s0, s1, want):
+    # Negative eigenvalues within pd_threshold pass GaussianMeasure; the
+    # square roots behind W2 must not reject them afterwards.
+    assert abs(gaussian_w2(zero_mean(s0), zero_mean(s1)) - want) <= 1e-12
 
 
 def test_gaussian_dimension_mismatch():

@@ -17,6 +17,7 @@ from helpers import (
 )
 from pframes import semidiscrete
 from pframes.errors import NumericError
+from pframes.measures import DiscreteMeasure
 from pframes.semidiscrete import (
     BoxReference,
     FunctionSamples,
@@ -398,8 +399,12 @@ def test_box_reference_boundary_oracle():
 
 def test_adapt_input_validation():
     ref = GaussianReference(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         adapt_weights(np.array([[1.0, 0.0], [1.0, 0.0]]), [0.5, 0.5], ref, 100)
+    with pytest.raises(ValueError, match="target weights must be positive"):
+        adapt_weights(TWO_SITES, [0.0, 1.0], ref, 100)
+    with pytest.raises(ValueError, match="non-finite"):
+        adapt_weights(np.array([[1.0, np.nan], [0.0, 1.0]]), [0.5, 0.5], ref, 100)
     with pytest.raises(ValueError):
         adapt_weights(TWO_SITES, [0.7, 0.2], ref, 100)
     with pytest.raises(ValueError):
@@ -410,6 +415,16 @@ def test_adapt_input_validation():
         GaussianReference(4)
     with pytest.raises(ValueError):
         BoxReference(lower=[0.0, 1.0], upper=[1.0, 0.5])
+
+
+def test_adapt_targets_are_renormalised_as_a_discrete_measure():
+    # Targets within WEIGHT_SUM_TOL of 1 are renormalised as DiscreteMeasure
+    # does, bit for bit.
+    sites = np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]])
+    targets = np.array([0.2, 0.3, 0.5]) * (1.0 + 5e-7)
+    coupling = adapt_weights(sites, targets, GaussianReference(2), 20_000, seed=7)
+    want = DiscreteMeasure(atoms=sites, weights=targets).weights
+    assert np.array_equal(coupling.target_weights, want)
 
 
 def test_nonconvergence_carries_best_weights(monkeypatch):

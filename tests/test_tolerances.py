@@ -69,7 +69,9 @@ def source_tolerances():
 def test_table_is_parsed():
     rows = table_rows()
     assert len(rows) >= 20
-    assert ("PLAN_TOL", "duality", {"TransportPlan"}, 1e-8) in rows
+    (functions,) = [f for name, module, f, value in rows if name == "FEASIBILITY_TOL"]
+    assert ("FEASIBILITY_TOL", "optim", functions, 1e-8) in rows
+    assert {"duality.TransportPlan", "duality.certificate_is_valid"} <= functions
 
 
 def test_every_small_module_constant_has_a_row():

@@ -405,8 +405,8 @@ def test_optimal_permutation_matches_brute_force(n):
 
 
 def test_lp_coupling_failing_plan_checks_is_a_numeric_error(monkeypatch):
-    # A 1.5e-8 row residual, injected past solve_lp's own check, fails
-    # PLAN_TOL: the solver's point is at fault, not the input.
+    # A 1.5e-8 row residual, injected past solve_lp's own check, fails the
+    # plan's FEASIBILITY_TOL: the solver's point is at fault, not the input.
     monkeypatch.setattr(
         pframes.transport, "solve_lp", with_row_residual(pframes.transport.solve_lp, 1.5e-8)
     )
